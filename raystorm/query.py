@@ -47,6 +47,27 @@ RANK_ROUND = 9
 SCORE_ROUND = 6
 
 
+def check_k(k) -> None:
+    """The one check of a top-k request's ``k``, shared by every mode."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+
+
+def _check_part_size(part_dir: str, tdict: pa.Table) -> None:
+    """Raise ``CorruptSegmentError`` when ``postings.bin`` is shorter
+    than the runs its ``terms.parquet`` addresses (a truncated part)."""
+    if not len(tdict):
+        return
+    need = int(np.max(tdict["offset"].to_numpy() + tdict["nbytes"].to_numpy()))
+    path = os.path.join(part_dir, "postings.bin")
+    have = os.path.getsize(path) if os.path.exists(path) else 0
+    if have < need:
+        raise segments.CorruptSegmentError(
+            f"{os.path.basename(part_dir)}/postings.bin holds {have} bytes, "
+            f"but its terms.parquet addresses {need}"
+        )
+
+
 class _FieldDict:
     """Columnar per-field dictionary: one sorted Arrow term vocabulary +
     parallel numpy stat columns + run rows grouped by term rank.
@@ -145,6 +166,7 @@ class SegmentIndex:
                         "max_score", "first_docid", "last_docid",
                     ],
                 )
+                _check_part_size(os.path.join(parts_dir, name), tdict)
                 run_tables.append(
                     tdict.append_column(
                         "part", pa.array(np.full(len(tdict), p, np.int32))
@@ -254,14 +276,16 @@ class SegmentIndex:
         return self._part_data[p]
 
     def _decode_runs(self, fd: _FieldDict, idxs) -> list:
-        return [
-            segments.decode_run(
-                self._part(int(fd.part[i]))[
-                    int(fd.offset[i]) : int(fd.offset[i]) + int(fd.nbytes[i])
-                ]
-            )
-            for i in idxs
-        ]
+        out = []
+        for i in idxs:
+            p, off = int(fd.part[i]), int(fd.offset[i])
+            try:
+                out.append(segments.decode_run(self._part(p)[off : off + int(fd.nbytes[i])]))
+            except segments.CorruptSegmentError as e:
+                raise segments.CorruptSegmentError(
+                    f"part-{p:05d}/postings.bin offset {off}: {e}"
+                ) from e
+        return out
 
     def postings(self, term: str, field: str = "text"):
         """Decoded posting list (docids, tfs, dls) or None."""
@@ -418,6 +442,17 @@ class SegmentIndex:
         keep = ~deleted_docid_mask(docids, self._ts_starts, self._ts_ends)
         return (docids[keep], *(c[keep] for c in cols))
 
+    def _scored_postings(self, fd: _FieldDict, rank: int, idxs):
+        """(docids, BM25 scores) of the text-field term at vocabulary
+        ``rank`` over its runs ``idxs``, tombstoned docs dropped.  Runs
+        are scored one by one, so only docids and scores are joined."""
+        idf, avgdl = float(fd.idf[rank]), self.global_stats["text"]["avgdl"]
+        runs = self._decode_runs(fd, idxs)
+        scores = [segments.bm25_term_scores(tfs, dls, idf, avgdl, self.k1, self.b) for _d, tfs, dls in runs]
+        if len(runs) == 1:
+            return self._drop_deleted(runs[0][0], scores[0])
+        return self._drop_deleted(np.concatenate([r[0] for r in runs]), np.concatenate(scores))
+
     def explain(self, query_text: str, conv_id: str, turn_idx: int) -> pd.DataFrame:
         """Lucene-style score explanation: the per-term BM25 breakdown
         of one (query, doc) pair — tf, df, idf and the term's score
@@ -473,6 +508,7 @@ class SegmentIndex:
 
     # ----- scoring -----
     def topk(self, query_text: str, k: int, mode: str = "bm25") -> pd.DataFrame:
+        check_k(k)
         if mode == "bm25_pruned":
             return self.topk_pruned(query_text, k)
         if mode == "bm25_bmw":
@@ -564,22 +600,28 @@ class SegmentIndex:
         return self._format_topk(docids[keep], scores[keep], k)
 
     def _format_topk(self, docids, scores, k: int) -> pd.DataFrame:
-        """Shared ranking tail: round, boundary-tight partial top-k,
-        (score desc, docid asc) order, decode, emit."""
-        if len(docids) == 0:
+        """Shared ranking tail: (rounded score desc, docid asc) top-k,
+        decode, emit.
+
+        Threshold first: only the scores within 1e-6 of the raw k-th
+        are rounded and sorted.  Rounding to ``RANK_ROUND`` decimals is
+        monotone and moves a score by at most 5e-10, so no score below
+        that band can round up to the k-th rounded score; the candidate
+        set holds every doc tied with it at the boundary."""
+        n = len(docids)
+        if n == 0:
             return pd.DataFrame(
                 {"rank": np.empty(0, np.int32), "conv_id": [], "turn_idx": np.empty(0, np.int32), "score": []}
             )
-        r = round_half_up(scores, RANK_ROUND)
-        if len(docids) > k:
-            top = np.argpartition(-r, k - 1)[: max(k, 1)]
-            # re-tighten: candidates tied at the boundary need docid order
-            boundary = np.min(r[top])
-            cand = np.nonzero(r >= boundary)[0]
+        if n <= k:
+            cand = np.arange(n)
+        elif k < 1:
+            cand = np.empty(0, np.int64)
         else:
-            cand = np.arange(len(docids))
-        order = np.lexsort((docids[cand], -r[cand]))[:k]
-        sel = cand[order]
+            kth = np.partition(scores, n - k)[n - k]
+            cand = np.flatnonzero(scores >= kth - 1e-6) if kth == kth else np.arange(n)
+        r = round_half_up(scores[cand], RANK_ROUND)
+        sel = cand[np.lexsort((docids[cand], -r))[:k]]
         conv, turn = self.codec.decode(docids[sel])
         return pd.DataFrame(
             {
@@ -1171,7 +1213,6 @@ class SegmentIndex:
         and the expansion modes (``bm25_wild`` / ``bm25_fuzzy`` / MLT).
         ``weights`` (parallel to ``terms``) multiplies each term's
         contribution — the ``bm25_boost`` per-term boost path."""
-        gs = self.global_stats["text"]
         fd = self._dict.get("text")
         id_chunks, sc_chunks = [], []
         if fd is None:
@@ -1183,19 +1224,12 @@ class SegmentIndex:
             s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
             if s == e:
                 continue
-            parts = self._decode_runs(fd, range(s, e))
-            docids = np.concatenate([p[0] for p in parts])
-            tfs = np.concatenate([p[1] for p in parts])
-            dls = np.concatenate([p[2] for p in parts])
-            sc = segments.bm25_term_scores(
-                tfs, dls, float(fd.idf[r]), gs["avgdl"], self.k1, self.b
-            )
+            docids, sc = self._scored_postings(fd, r, range(s, e))
             if weights is not None:
                 sc = sc * float(weights[i])
             id_chunks.append(docids)
             sc_chunks.append(sc)
-        ids, totals = _accumulate(id_chunks, sc_chunks)
-        return self._drop_deleted(ids, totals)
+        return _accumulate(id_chunks, sc_chunks)
 
     #: wildcard-expansion cap per prefix (the Lucene PrefixQuery rewrite
     #: bound, deliberately small so the deterministic (df desc, term asc)
@@ -1695,6 +1729,14 @@ class SegmentIndex:
         docid range intersects the accumulator (run bounds = the block-
         max directory of ``segments.encode_run``; on-disk byte skipping
         uses the same per-block ``payload_nbytes``).
+
+        The update phase is threshold-first (the threshold maintenance
+        of SAP, ICDE 2018): before each term, accumulated docs whose
+        score plus the remaining terms' bounds stays under theta are
+        dropped, and only the survivors are binary-searched into the
+        term's sorted docids.  A term whose runs overlap (a docid in
+        two runs) is bounded by the sum of its run maxima, and its
+        postings are added occurrence by occurrence.
         """
         if self._tuned:
             raise ValueError(
@@ -1704,7 +1746,6 @@ class SegmentIndex:
             )
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
-        gs = self.global_stats["text"]
         fd = self._dict.get("text")
         infos = []
         if fd is not None:
@@ -1714,7 +1755,7 @@ class SegmentIndex:
                     continue
                 s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
                 if e > s:
-                    infos.append((t, r, float(fd.max_score[s:e].max())))
+                    infos.append((t, r, _term_bound(fd, s, e)))
         infos.sort(key=lambda x: (-x[2], x[0]))
         tail = np.concatenate(
             [np.cumsum([m for _t, _r, m in infos][::-1])[::-1], [0.0]]
@@ -1724,11 +1765,15 @@ class SegmentIndex:
         acc_sc = np.empty(0, np.float64)
         theta = -np.inf
         for i, (t, rank, _m) in enumerate(infos):
-            idf = float(fd.idf[rank])
             prune = tail[i] + self.PRUNE_EPS < theta
             s, e = int(fd.run_start[rank]), int(fd.run_start[rank + 1])
             idxs = np.arange(s, e)
-            if prune and len(acc_ids):
+            if prune:
+                # a doc that cannot reach theta even with every remaining
+                # term's bound can never enter the top-k: drop it (theta
+                # is unchanged: at least k docs score >= theta)
+                live = acc_sc + tail[i] + self.PRUNE_EPS >= theta
+                acc_ids, acc_sc = acc_ids[live], acc_sc[live]
                 # run-level skip: decode only runs whose docid range
                 # contains at least one accumulated doc (first/last
                 # bounds from the segment dictionary — the same skip a
@@ -1738,49 +1783,27 @@ class SegmentIndex:
                 idxs = idxs[lo < hi]
                 if len(idxs) == 0:
                     continue
-            chunks = self._decode_runs(fd, idxs)
-            docids = np.concatenate([c[0] for c in chunks])
-            tfs = np.concatenate([c[1] for c in chunks])
-            dls = np.concatenate([c[2] for c in chunks])
-            # mask deletes BEFORE accumulating: a tombstoned doc must
-            # never raise theta (that could prune a live document)
-            docids, tfs, dls = self._drop_deleted(docids, tfs, dls)
+            # deletes are masked BEFORE accumulating: a tombstoned doc
+            # must never raise theta (that could prune a live document)
+            docids, sc = self._scored_postings(fd, rank, idxs)
             if not len(docids):
                 continue
-            sc = segments.bm25_term_scores(tfs, dls, idf, gs["avgdl"], self.k1, self.b)
             if not len(acc_ids):
-                order = np.argsort(docids, kind="mergesort")
-                acc_ids, acc_sc = docids[order], sc[order]
-            elif prune:
-                # non-essential term: only existing docs may gain score
-                pos = np.searchsorted(acc_ids, docids)
-                pos_c = np.minimum(pos, len(acc_ids) - 1)
-                valid = acc_ids[pos_c] == docids
-                np.add.at(acc_sc, pos_c[valid], sc[valid])
-            else:
-                both = np.concatenate([acc_ids, docids])
-                vals = np.concatenate([acc_sc, sc])
-                uniq, inv = np.unique(both, return_inverse=True)
-                acc_ids = uniq
-                acc_sc = np.bincount(inv, weights=vals)
-            if len(acc_ids) >= k:
+                acc_ids, acc_sc = _accumulate([docids], [sc])
+            elif not prune:
+                acc_ids, acc_sc = _accumulate([acc_ids, docids], [acc_sc, sc])
+            elif (docids[1:] > docids[:-1]).all():
+                # non-essential term: only surviving docs may gain score
+                pos = np.minimum(np.searchsorted(docids, acc_ids), len(docids) - 1)
+                hit = docids[pos] == acc_ids
+                acc_sc[hit] += sc[pos[hit]]
+            else:  # overlapping runs repeat a docid: add each occurrence
+                pos = np.minimum(np.searchsorted(acc_ids, docids), len(acc_ids) - 1)
+                valid = acc_ids[pos] == docids
+                np.add.at(acc_sc, pos[valid], sc[valid])
+            if len(acc_ids) >= k and i + 1 < len(infos):
                 theta = np.partition(acc_sc, len(acc_sc) - k)[len(acc_sc) - k]
-
-        if len(acc_ids) == 0:
-            return pd.DataFrame(
-                {"rank": np.empty(0, np.int32), "conv_id": [], "turn_idx": np.empty(0, np.int32), "score": []}
-            )
-        r = round_half_up(acc_sc, RANK_ROUND)
-        order = np.lexsort((acc_ids, -r))[:k]
-        conv, turn = self.codec.decode(acc_ids[order])
-        return pd.DataFrame(
-            {
-                "rank": np.arange(1, len(order) + 1, dtype=np.int32),
-                "conv_id": conv,
-                "turn_idx": turn,
-                "score": round_half_up(acc_sc[order], SCORE_ROUND),
-            }
-        )
+        return self._format_topk(acc_ids, acc_sc, k)
 
     def topk_bmw(self, query_text: str, k: int) -> pd.DataFrame:
         """BM25 top-k with document-space block-max pruning — the
@@ -1821,7 +1844,6 @@ class SegmentIndex:
             )
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
-        gs = self.global_stats["text"]
         fd = self._dict.get("text")
         infos = []
         if fd is not None:
@@ -1843,15 +1865,8 @@ class SegmentIndex:
         # phase 1 — theta bootstrap: fully score the strongest term;
         # every partial score is a lower bound of that doc's full score
         _t0, r0, s0, e0, _m0 = infos[0]
-        chunks = self._decode_runs(fd, range(s0, e0))
         self._last_bmw["runs_decoded"] += e0 - s0
-        ids0 = np.concatenate([c[0] for c in chunks])
-        tf0 = np.concatenate([c[1] for c in chunks])
-        dl0 = np.concatenate([c[2] for c in chunks])
-        ids0, tf0, dl0 = self._drop_deleted(ids0, tf0, dl0)
-        sc0 = segments.bm25_term_scores(
-            tf0, dl0, float(fd.idf[r0]), gs["avgdl"], self.k1, self.b
-        )
+        ids0, sc0 = self._scored_postings(fd, r0, range(s0, e0))
         # accumulate per docid BEFORE taking the k-th: overlapping-run
         # (foreign) layouts can repeat a docid across runs, and summing
         # its occurrence partials is required — the k-th of the raw
@@ -1884,8 +1899,9 @@ class SegmentIndex:
             idxc = np.maximum(idx, 0)
             if len(f) < 2 or bool(np.all(l[:-1] < f[1:])):
                 ub += np.where(has & (l[idxc] >= starts), m[idxc], 0.0)
-            else:  # overlapping runs (foreign layout): open-ended bound
-                ub += np.where(has, np.maximum.accumulate(m)[idxc], 0.0)
+            else:  # overlapping runs (foreign layout): a doc may sit in
+                # every run that starts at or before it
+                ub += np.where(has, np.cumsum(m)[idxc], 0.0)
         keep_iv = ub + self.PRUNE_EPS >= theta
         kcs = np.concatenate([[0], np.cumsum(keep_iv.astype(np.int64))])
 
@@ -1906,25 +1922,18 @@ class SegmentIndex:
             if len(idxs) == 0:
                 continue
             self._last_bmw["runs_decoded"] += len(idxs)
-            ch = self._decode_runs(fd, idxs)
-            ids = np.concatenate([c[0] for c in ch])
-            tfs = np.concatenate([c[1] for c in ch])
-            dls = np.concatenate([c[2] for c in ch])
-            ids, tfs, dls = self._drop_deleted(ids, tfs, dls)
-            if not len(ids):
-                continue
-            id_chunks.append(ids)
-            sc_chunks.append(
-                segments.bm25_term_scores(
-                    tfs, dls, float(fd.idf[r]), gs["avgdl"], self.k1, self.b
-                )
-            )
+            ids, sc = self._scored_postings(fd, r, idxs)
+            if len(ids):
+                id_chunks.append(ids)
+                sc_chunks.append(sc)
         ids, totals = _accumulate(id_chunks, sc_chunks)
-        iv = np.searchsorted(bounds, ids, side="right") - 1
-        inb = (iv >= 0) & (iv < len(keep_iv))
-        mkeep = np.zeros(len(ids), bool)
-        mkeep[inb] = keep_iv[iv[inb]]
-        return self._format_topk(ids[mkeep], totals[mkeep], k)
+        if not keep_iv.all():
+            # ids are sorted: interval j holds ids[cut[j]:cut[j + 1]]
+            cut = np.searchsorted(ids, bounds)
+            mkeep = np.zeros(len(ids), bool)
+            mkeep[cut[0] : cut[-1]] = np.repeat(keep_iv, np.diff(cut))
+            ids, totals = ids[mkeep], totals[mkeep]
+        return self._format_topk(ids, totals, k)
 
     def _score_faithful(self, query_text: str):
         # reference loop: raw lowercase whitespace tokens, duplicates kept
@@ -2342,15 +2351,55 @@ ORDER BY query_id, rank
 """
 
 
+def _term_bound(fd: _FieldDict, s: int, e: int) -> float:
+    """Upper bound of one term's score in any doc: the largest run max
+    when the term's runs are docid-disjoint (every index this engine
+    writes), else the sum of them (a doc may sit in several runs)."""
+    m = fd.max_score[s:e]
+    if e - s < 2 or bool(np.all(fd.last_docid[s : e - 1] < fd.first_docid[s + 1 : e])):
+        return float(m.max())
+    return float(m.sum())
+
+
 def _accumulate(id_chunks, sc_chunks):
-    """Sum per-term score arrays into per-doc totals (order-pinned)."""
+    """Sum per-term score arrays into per-doc totals -> (sorted distinct
+    docids, float64 totals).
+
+    Every doc's partials are added one at a time in chunk order,
+    starting from 0.0 (``np.bincount``'s order), so the totals are
+    bit-identical whichever path runs (see CLAUDE.md: a pairwise or
+    ``reduceat`` sum would not be).  Dense ``bincount`` over the docid
+    span when the postings cover at least 1/8 of it (so at most 8 slots
+    per posting summed); otherwise a stable sort, which keeps each doc's
+    partials in chunk order, then ``bincount`` over the sorted groups.
+    A single strictly increasing chunk is already its own answer.
+    """
     if not id_chunks:
         return np.empty(0, np.int64), np.empty(0, np.float64)
+    if len(id_chunks) == 1:
+        ids = np.asarray(id_chunks[0])
+        if len(ids) < 2 or (ids[1:] > ids[:-1]).all():
+            # 0.0 + x, as bincount adds it (-0.0 -> 0.0)
+            return ids, np.asarray(sc_chunks[0], np.float64) + 0.0
     ids = np.concatenate(id_chunks)
-    scs = np.concatenate(sc_chunks)
-    uniq, inv = np.unique(ids, return_inverse=True)
-    totals = np.bincount(inv, weights=scs)
-    return uniq, totals
+    scs = np.concatenate(sc_chunks).astype(np.float64, copy=False)
+    if len(ids) < 2:
+        return ids, scs + 0.0
+    lo = ids.min()
+    span = int(ids.max() - lo) + 1
+    if 8 * len(ids) >= span:
+        rel = np.subtract(ids, lo, out=ids)  # ids is our own concatenation
+        present = np.zeros(span, bool)
+        present[rel] = True
+        slots = np.flatnonzero(present)
+        totals = np.bincount(rel, weights=scs, minlength=span)[slots]
+        return (slots + lo).astype(ids.dtype, copy=False), totals
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.empty(len(ids), bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first], np.bincount(np.cumsum(first) - 1, weights=scs[order])
 
 
 # ---------------------------------------------------------------------------

@@ -55,30 +55,57 @@ def varint_encode(values: np.ndarray) -> np.ndarray:
 
 
 def varint_decode(buf: np.ndarray | bytes | memoryview) -> np.ndarray:
-    """Decode a full LEB128 stream -> uint64 array (vectorized)."""
-    b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
-    if len(b) == 0:
-        return np.empty(0, np.uint64)
-    is_end = (b & 0x80) == 0
-    ends = np.nonzero(is_end)[0]
-    starts = np.empty(len(ends), np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    pos = np.arange(len(b), dtype=np.int64) - np.repeat(starts, lens)
-    weighted = (b & np.uint8(0x7F)).astype(np.uint64) << (
-        np.uint64(7) * pos.astype(np.uint64)
+    """Decode a full LEB128 stream -> uint64 array (vectorized).
+
+    One ``b < 0x80`` mask and one boolean gather of the terminator bytes
+    give every one-byte value.  Only the few continuation bytes are then
+    folded in: the k-th continuation byte at position p belongs to value
+    ``p - k`` (the terminators before it).  Trailing continuation bytes
+    without a terminator are ignored.
+    """
+    b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else np.asarray(buf)
+    is_end = b < 0x80
+    vals = b[is_end].astype(np.uint64)
+    if len(vals) == len(b):
+        return vals
+    cont = np.flatnonzero(~is_end)
+    owner = cont - np.arange(len(cont))
+    if not is_end[-1]:
+        cont, owner = cont[owner < len(vals)], owner[owner < len(vals)]
+        if not len(cont):
+            return vals
+    # each multi-byte value's continuation bytes are one contiguous group
+    first = np.empty(len(owner), bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    heads = np.flatnonzero(first)
+    ncont = np.diff(np.append(heads, len(owner)))
+    pos = np.arange(len(owner)) - np.repeat(heads, ncont)
+    low = (b[cont] & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * pos.astype(np.uint64))
+    owner = owner[heads]
+    vals[owner] = (vals[owner] << (np.uint64(7) * ncont.astype(np.uint64))) | np.bitwise_or.reduceat(
+        low, heads
     )
-    return np.add.reduceat(weighted, starts)
+    return vals
 
 
 def bm25_term_scores(
     tfs: np.ndarray, dls: np.ndarray, idf: float, avgdl: float, k1: float, b: float
 ) -> np.ndarray:
     """Pinned BM25 per-posting score (float64; formula documented in query.py)."""
+    # in place, in the order of idf * (tf * (k1 + 1)) / (tf + k1 *
+    # (1 - b + b * dl / avgdl)); float * and + commute bit for bit
     tf = tfs.astype(np.float64)
-    dl = dls.astype(np.float64)
-    return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+    den = dls.astype(np.float64)
+    den *= b
+    den /= avgdl
+    den += 1.0 - b
+    den *= k1
+    den += tf
+    tf *= k1 + 1.0
+    tf *= idf
+    tf /= den
+    return tf
 
 
 def encode_run(
@@ -144,27 +171,47 @@ def encode_run(
     return blob.tobytes()
 
 
+class CorruptSegmentError(ValueError):
+    """A posting blob whose header, block directory or body disagree
+    (a truncated or overwritten ``postings.bin``)."""
+
+
 def decode_run(blob: bytes | memoryview):
-    """Decode a blob -> (docids, tfs, dls) int64/int32 arrays.
+    """Decode a blob -> (docids, tfs, dls) int64 arrays.
 
     One vectorized varint pass over the whole blob, then semantic
-    slicing (header, directory, per-block payload regions).
+    slicing.  ``encode_run`` fills every block but the last with
+    ``BLOCK_SIZE`` postings, so the body is a ``(blocks, 3, BLOCK_SIZE)``
+    array plus one short ``(3, rest)`` block; the header is checked
+    against that shape first and a mismatch raises
+    :class:`CorruptSegmentError`.
     """
-    vals = varint_decode(blob).astype(np.int64)
+    vals = varint_decode(blob).view(np.int64)
+    if len(vals) < 2:
+        raise CorruptSegmentError(f"run header truncated ({len(vals)} values)")
     n, nblocks = int(vals[0]), int(vals[1])
-    dir_vals = vals[2 : 2 + 4 * nblocks]
-    counts = dir_vals[0::4]
-    body = vals[2 + 4 * nblocks :]
-    # per-block payload = [deltas(count) tfs(count) dls(count)]
-    co = np.concatenate(([0], np.cumsum(counts)))
-    out_idx = np.arange(n, dtype=np.int64)
-    blk = np.searchsorted(co, out_idx, side="right") - 1
-    within = out_idx - co[blk]
-    base = 3 * co[blk]
-    docids = np.cumsum(body[base + within])
-    tfs = body[base + counts[blk] + within]
-    dls = body[base + 2 * counts[blk] + within]
-    return docids, tfs, dls
+    if n < 1 or nblocks != -(-n // BLOCK_SIZE):
+        raise CorruptSegmentError(f"run header n={n} disagrees with {nblocks} blocks")
+    body_at = 2 + 4 * nblocks
+    if len(vals) != body_at + 3 * n:
+        raise CorruptSegmentError(
+            f"run of {n} postings holds {len(vals) - body_at} body values, not {3 * n}"
+        )
+    counts = vals[2:body_at:4]
+    if (counts[:-1] != BLOCK_SIZE).any() or counts[-1] != n - (nblocks - 1) * BLOCK_SIZE:
+        raise CorruptSegmentError(f"run block counts disagree with n={n}")
+    if nblocks == 1:
+        deltas, tfs, dls = vals[body_at:].reshape(3, n)
+        return np.cumsum(deltas), tfs, dls
+    nfull = n // BLOCK_SIZE
+    m = nfull * BLOCK_SIZE
+    full = vals[body_at : body_at + 3 * m].reshape(nfull, 3, BLOCK_SIZE)
+    cols = np.empty((3, n), np.int64)
+    for c in range(3):
+        cols[c, :m].reshape(nfull, BLOCK_SIZE)[:] = full[:, c]  # a view: the row is contiguous
+    cols[:, m:] = vals[body_at + 3 * m :].reshape(3, n - m)
+    deltas, tfs, dls = cols
+    return np.cumsum(deltas), tfs, dls
 
 
 def decode_block_directory(blob: bytes | memoryview):

@@ -59,3 +59,45 @@ def test_global_stats_match_reconstruction(built):
     assert gs["N"] == len(pdf)
     assert gs["total_tokens"] == len(toks)
     assert abs(gs["avgdl"] - len(toks) / len(pdf)) < 1e-9
+
+def _copy_index(idx, dst):
+    import shutil
+
+    shutil.copytree(idx.index_dir, dst)
+    return str(dst)
+
+
+def test_truncated_part_fails_at_open_and_names_it(built, tmp_path):
+    import os
+
+    from raystorm.segments import CorruptSegmentError
+
+    d = _copy_index(built[0], tmp_path / "idx")
+    path = os.path.join(d, "parts", "part-00003", "postings.bin")
+    size = os.path.getsize(path)
+    assert size > 0
+    with open(path, "r+b") as fh:
+        fh.truncate(size // 2)
+    with pytest.raises(CorruptSegmentError, match="part-00003"):
+        query.SegmentIndex(d)
+
+
+def test_scribbled_run_fails_at_query_time_and_names_the_part(built, tmp_path):
+    import os
+
+    import pyarrow.parquet as pq
+
+    from raystorm.segments import CorruptSegmentError
+
+    idx = built[0]
+    d = _copy_index(idx, tmp_path / "idx")
+    part_dir = os.path.join(d, "parts", "part-00002")
+    runs = pq.read_table(os.path.join(part_dir, "terms.parquet")).to_pandas()
+    run = runs[runs["field"] == "text"].iloc[0]
+    with open(os.path.join(part_dir, "postings.bin"), "r+b") as fh:
+        fh.seek(int(run["offset"]))
+        fh.write(b"\x80" * int(run["nbytes"]))  # continuation bytes only
+    bad = query.SegmentIndex(d)  # sizes still agree: opens
+    for mode in ("bm25", "bm25_pruned", "bm25_bmw"):
+        with pytest.raises(CorruptSegmentError, match="part-00002"):
+            bad.topk(run["term"], 5, mode)

@@ -2,6 +2,7 @@
 scorer — on the documents-derived corpus AND a Zipf synthetic corpus whose
 head terms are salted across partitions (the pruning's hard case)."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -149,3 +150,71 @@ def test_pruned_rank_identical_synth_head_terms(synth_index):
             a = synth_index.topk(text, k, "bm25").reset_index(drop=True)
             b = synth_index.topk_pruned(text, k).reset_index(drop=True)
             pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{text!r} k={k}")
+
+
+@pytest.mark.parametrize("mode", ["bm25", "bm25_pruned", "bm25_bmw"])
+def test_topk_rejects_bad_k_in_every_mode(sf_index, mode):
+    for bad in (0, -1, -10, 2.5, 10.0, "3", None, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            sf_index.topk("hash join", bad, mode)
+    assert len(sf_index.topk("hash join", np.int64(3), mode)) == 3
+
+
+def _register_run_twice(index_dir: str, term: str) -> None:
+    """Give ``term`` two runs over the same docids: its blob is listed a
+    second time, under another salt, in the part's ``terms.parquet``."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    for path in sorted(glob.glob(f"{index_dir}/parts/part-*/terms.parquet")):
+        tbl = pq.read_table(path)
+        mine = pc.and_(pc.equal(tbl["field"], "text"), pc.equal(tbl["term"], term))
+        row = tbl.filter(mine)
+        if len(row):
+            salt = tbl.schema.get_field_index("salt")
+            again = row.set_column(
+                salt, "salt", pa.array(row["salt"].to_numpy() + 1000, tbl.schema.field("salt").type)
+            )
+            pq.write_table(pa.concat_tables([tbl, again]), path)
+            return
+    raise AssertionError(f"{term!r} not in any part")
+
+
+@pytest.fixture(scope="module")
+def dup_run_index(sf_index, tmp_path_factory):
+    import shutil
+
+    d = tmp_path_factory.mktemp("dup_run_idx") / "idx"
+    shutil.copytree(sf_index.index_dir, d)
+    _register_run_twice(str(d), "merge")
+    return query.SegmentIndex(str(d))
+
+
+def test_overlapping_runs_same_topk_in_every_mode(sf_index, dup_run_index):
+    """A term whose two runs cover the same docids counts each posting
+    twice in every mode: exhaustive bm25, MaxScore (whose update phase
+    then adds every occurrence with ``np.add.at`` and whose term bound
+    is the sum of the run maxima) and BMW (whose interval bound is then
+    open-ended over the runs)."""
+    idx = dup_run_index
+    assert idx.n_runs("merge") == 2
+    docids = idx.postings("merge")[0]
+    assert not (np.diff(docids) > 0).all()  # the overlapping fallbacks run
+    # "dup" (df 25) has the highest bound, so it sets theta and the
+    # doubled term is then scored in MaxScore's update phase
+    texts = ["merge", "dup merge", "dup merge hash"]
+    texts += [f"{q} merge" for q in QUERIES if "merge" not in q.split()]
+    for text in texts:
+        for k in (1, 5, 10, 20, 25, 100):
+            a = idx.topk(text, k, "bm25").reset_index(drop=True)
+            for mode in ("bm25_pruned", "bm25_bmw"):
+                b = idx.topk(text, k, mode).reset_index(drop=True)
+                pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{mode} {text!r} k={k}")
+    # each posting of the doubled term counts twice
+    once = sf_index.topk("merge", 20, "bm25")
+    twice = idx.topk("merge", 20, "bm25")
+    assert twice["conv_id"].tolist() == once["conv_id"].tolist()
+    np.testing.assert_allclose(twice["score"], 2 * once["score"], atol=2e-6)
