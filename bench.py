@@ -202,12 +202,12 @@ def run_suite(
                 idx.topk(text, int(k), mode)
         timings["query_session4_modes"] = time.perf_counter() - t0
 
-        # session-5 scoring families on the warm index: document-space
-        # block-max WAND, field_value_factor script score, exp/linear
+        # round-3 scoring families on the warm index: bm25_bmw (served
+        # by MaxScore), field_value_factor script score, exp/linear
         # decay over the sidecar, the date-range aggregation
         t0 = time.perf_counter()
         for _qid, text, k in query.REFERENCE_QUERIES:
-            idx.topk_bmw(text, int(k))
+            idx.topk(text, int(k), "bm25_bmw")
             idx.topk_script_score(text, int(k))
         for mode in ("bm25_decay_exp", "bm25_decay_linear"):
             for _qid, text, k in query.REFERENCE_QUERIES:

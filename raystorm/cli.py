@@ -20,6 +20,16 @@ import argparse
 import json
 import sys
 
+#: the ``--mode`` choices of ``query`` and ``serve`` (bm25_bmw is served
+#: by MaxScore, like bm25_pruned)
+QUERY_MODES = (
+    "bm25", "bm25_pruned", "bm25_bmw", "bm25_and", "bm25_wild", "bm25_fuzzy",
+    "bm25_regex", "bm25_syn", "bm25_rescore", "bm25_rescore_query", "bm25_bool",
+    "bm25_boost", "bm25f", "dis_max", "most_fields", "cross_fields",
+    "lm_dirichlet", "tfidf_classic", "script_score", "phrase", "collapsed",
+    "faithful", "faithful_boosted",
+)
+
 
 def _ensure_ray():
     import ray
@@ -449,7 +459,7 @@ def main(argv=None) -> int:
     q.add_argument("--k", type=int, default=10)
     q.add_argument(
         "--mode",
-        choices=("bm25", "bm25_pruned", "bm25_bmw", "bm25_and", "bm25_wild", "bm25_fuzzy", "bm25_regex", "bm25_syn", "bm25_rescore", "bm25_rescore_query", "bm25_bool", "bm25_boost", "bm25f", "dis_max", "most_fields", "cross_fields", "lm_dirichlet", "tfidf_classic", "script_score", "phrase", "collapsed", "faithful", "faithful_boosted"),
+        choices=QUERY_MODES,
         default="bm25",
     )
     q.add_argument(
@@ -489,7 +499,7 @@ def main(argv=None) -> int:
     s.add_argument("--k", type=int, default=10)
     s.add_argument(
         "--mode",
-        choices=("bm25", "bm25_pruned", "bm25_bmw", "bm25_and", "bm25_wild", "bm25_fuzzy", "bm25_regex", "bm25_syn", "bm25_rescore", "bm25_rescore_query", "bm25_bool", "bm25_boost", "bm25f", "dis_max", "most_fields", "cross_fields", "lm_dirichlet", "tfidf_classic", "script_score", "phrase", "collapsed", "faithful", "faithful_boosted"),
+        choices=QUERY_MODES,
         default="bm25",
     )
     s.set_defaults(fn=cmd_serve)

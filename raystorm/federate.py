@@ -28,7 +28,7 @@ import pyarrow as pa
 from . import normalize, segments
 from .analysis import round_half_up
 from .build import lucene_idf
-from .query import RANK_ROUND, SCORE_ROUND, SegmentIndex, _accumulate
+from .query import RANK_ROUND, SCORE_ROUND, QueryTrace, SegmentIndex, _accumulate
 
 
 class FederatedIndex:
@@ -76,51 +76,39 @@ class FederatedIndex:
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
         gs = self.global_stats.get(field, {"N": 0, "avgdl": 0.0})
-        convs, turns, scores = [], [], []
-        for ix in self.indexes:
-            id_chunks, sc_chunks = [], []
-            for t in terms:
-                df = self._merged_df(t, field)
-                if df == 0:
-                    continue
-                p = ix.postings(t, field)
-                if p is None:
-                    continue
-                docids, tfs, dls = p
-                idf = float(lucene_idf(gs["N"], np.array([df]))[0])
-                sc_chunks.append(
-                    segments.bm25_term_scores(
-                        tfs, dls, idf, gs["avgdl"], self.k1, self.b
-                    )
-                )
-                id_chunks.append(docids)
-            ids, totals = _accumulate(id_chunks, sc_chunks)
-            ids, totals = ix._drop_deleted(ids, totals)
-            if not len(ids):
+        hits = [self._member_hits(ix, terms, field, gs) for ix in self.indexes]
+        return _topk_rows(hits, k)
+
+    def _member_hits(self, ix: SegmentIndex, terms, field: str, gs):
+        """(conv_id, turn_idx, score) arrays of one member's live
+        candidates, scored with the MERGED idf/avgdl."""
+        id_chunks, sc_chunks = [], []
+        for t in terms:
+            p = ix.postings(t, field)
+            if p is None:
                 continue
-            conv, turn = ix.codec.decode(ids)
-            convs.append(conv)
-            turns.append(turn)
-            scores.append(totals)
-        if not convs:
-            return pd.DataFrame(
-                {
-                    "rank": np.empty(0, np.int32),
-                    "conv_id": [],
-                    "turn_idx": np.empty(0, np.int32),
-                    "score": [],
-                }
+            docids, tfs, dls = p
+            idf = float(lucene_idf(gs["N"], np.array([self._merged_df(t, field)]))[0])
+            sc_chunks.append(
+                segments.bm25_term_scores(tfs, dls, idf, gs["avgdl"], self.k1, self.b)
             )
-        # the shared ranking tail (_topk_rows) — ONE copy of the
-        # tie-break-sensitive boundary sort for both federated classes
-        return _topk_rows(
-            np.concatenate(convs), np.concatenate(turns), np.concatenate(scores), k
+            id_chunks.append(docids)
+        ids, totals = ix._drop_deleted(*_accumulate(id_chunks, sc_chunks))
+        conv, turn = ix.codec.decode(ids)
+        return conv, turn, totals
+
+
+def _topk_rows(hits, k):
+    """Shared federated ranking tail over the members' ``hits``:
+    boundary-tight partial top-k, exact (score desc, conv_id, turn_idx)
+    order over the boundary set — ONE copy of the tie-break-sensitive
+    boundary sort for both federated classes."""
+    hits = [h for h in hits if len(h[2])]
+    if not hits:
+        return pd.DataFrame(
+            {"rank": np.empty(0, np.int32), "conv_id": [], "turn_idx": np.empty(0, np.int32), "score": []}
         )
-
-
-def _topk_rows(conv, turn, sc, k):
-    """Shared federated ranking tail: boundary-tight partial top-k,
-    exact (score desc, conv_id, turn_idx) order over the boundary set."""
+    conv, turn, sc = (np.concatenate(c) for c in zip(*hits))
     r = round_half_up(sc, RANK_ROUND)
     if len(conv) > k:
         top = np.argpartition(-r, k - 1)[:k]
@@ -166,7 +154,7 @@ class SelectiveFederatedIndex(FederatedIndex):
 
     Rank-identical to :class:`FederatedIndex` (pytest-pinned; gate
     shares the full-corpus oracle).  Skip accounting in
-    ``self._last_selective``.
+    ``self.last_trace`` (``shards_total`` / ``shards_evaluated``).
     """
 
     PRUNE_EPS = 1e-6
@@ -199,51 +187,19 @@ class SelectiveFederatedIndex(FederatedIndex):
         gs = self.global_stats.get(field, {"N": 0, "avgdl": 0.0})
         bounds = [self._member_bound(ix, terms, field, gs) for ix in self.indexes]
         order = np.argsort(-np.asarray(bounds), kind="stable")
-        self._last_selective = {"shards_total": len(self.indexes), "shards_evaluated": 0}
-        convs, turns, scores = [], [], []
+        self.last_trace = tr = QueryTrace(shards_total=len(self.indexes), shards_evaluated=0)
+        hits = []
         theta = -np.inf
         all_sc = np.empty(0, np.float64)
         for oi in order:
             if bounds[oi] + self.PRUNE_EPS < theta:
                 break  # bounds descend: every later member skips too
-            self._last_selective["shards_evaluated"] += 1
-            ix = self.indexes[oi]
-            id_chunks, sc_chunks = [], []
-            for t in terms:
-                p = ix.postings(t, field)
-                if p is None:
-                    continue
-                docids, tfs, dls = p
-                idf = float(
-                    lucene_idf(gs["N"], np.array([self._merged_df(t, field)]))[0]
-                )
-                sc_chunks.append(
-                    segments.bm25_term_scores(tfs, dls, idf, gs["avgdl"], self.k1, self.b)
-                )
-                id_chunks.append(docids)
-            ids, totals = _accumulate(id_chunks, sc_chunks)
-            ids, totals = ix._drop_deleted(ids, totals)
-            if not len(ids):
-                continue
-            conv, turn = ix.codec.decode(ids)
-            convs.append(conv)
-            turns.append(turn)
-            scores.append(totals)
-            all_sc = np.concatenate([all_sc, totals])
+            tr.shards_evaluated += 1
+            hits.append(self._member_hits(self.indexes[oi], terms, field, gs))
+            all_sc = np.concatenate([all_sc, hits[-1][2]])
             if len(all_sc) >= k:
                 theta = float(np.partition(all_sc, len(all_sc) - k)[len(all_sc) - k])
-        if not convs:
-            return pd.DataFrame(
-                {
-                    "rank": np.empty(0, np.int32),
-                    "conv_id": [],
-                    "turn_idx": np.empty(0, np.int32),
-                    "score": [],
-                }
-            )
-        return _topk_rows(
-            np.concatenate(convs), np.concatenate(turns), np.concatenate(scores), k
-        )
+        return _topk_rows(hits, k)
 
 
 class FederatedScorer:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -47,10 +48,37 @@ RANK_ROUND = 9
 SCORE_ROUND = 6
 
 
+class InvalidRequest(ValueError):
+    """A request the engine refuses before doing any work: a bad ``k`` or
+    an unknown mode.  Serving surfaces map it to HTTP 400; every other
+    exception (``CorruptSegmentError`` included) is a server fault."""
+
+
+@dataclass
+class QueryTrace:
+    """What one :meth:`SegmentIndex.topk` call did, counted by the code
+    that ran (the per-operator runtime stats of Presto, ICDE 2022).
+
+    ``terms`` / ``terms_matched`` / ``runs_total`` are counted by the
+    BM25 term paths (``bm25`` and its expansion modes, MaxScore);
+    ``runs_decoded`` / ``postings_decoded`` by every decode and
+    ``candidates`` by the shared ranking tail.  A federated search adds
+    how many member indexes it read."""
+
+    terms: int = 0
+    terms_matched: int = 0
+    runs_total: int = 0
+    runs_decoded: int = 0
+    postings_decoded: int = 0
+    candidates: int = 0
+    shards_total: int = 1
+    shards_evaluated: int = 1
+
+
 def check_k(k) -> None:
     """The one check of a top-k request's ``k``, shared by every mode."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise InvalidRequest(f"k must be a positive integer, got {k!r}")
 
 
 def _check_part_size(part_dir: str, tdict: pa.Table) -> None:
@@ -135,6 +163,7 @@ class SegmentIndex:
         self.k1 = manifest["config"]["k1"] if k1 is None else float(k1)
         self.b = manifest["config"]["b"] if b is None else float(b)
         self._tuned = k1 is not None or b is not None
+        self.last_trace = QueryTrace()
         self.global_stats = manifest["global_stats"]
         self.field_modes = dict(manifest["config"]["fields"])
         self.codec = DocIdCodec.from_table(
@@ -285,6 +314,8 @@ class SegmentIndex:
                 raise segments.CorruptSegmentError(
                     f"part-{p:05d}/postings.bin offset {off}: {e}"
                 ) from e
+        self.last_trace.runs_decoded += len(out)
+        self.last_trace.postings_decoded += sum(len(run[0]) for run in out)
         return out
 
     def postings(self, term: str, field: str = "text"):
@@ -302,16 +333,6 @@ class SegmentIndex:
         if len(parts) == 1:
             return parts[0]
         return tuple(np.concatenate([pr[i] for pr in parts]) for i in range(3))
-
-    def term_max_score(self, term: str, field: str = "text") -> float:
-        fd = self._dict.get(field)
-        if fd is None:
-            return 0.0
-        r = fd.rank_of(term)
-        if r < 0:
-            return 0.0
-        s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
-        return float(fd.max_score[s:e].max()) if e > s else 0.0
 
     def topk_phrase(self, query_text: str, k: int) -> pd.DataFrame:
         """Exact-phrase top-k: documents whose kept-token stream
@@ -508,11 +529,14 @@ class SegmentIndex:
 
     # ----- scoring -----
     def topk(self, query_text: str, k: int, mode: str = "bm25") -> pd.DataFrame:
+        """Top-k under ``mode``; what the call did is left in
+        :attr:`last_trace`, a fresh :class:`QueryTrace` per call."""
+        self.last_trace = QueryTrace()
         check_k(k)
-        if mode == "bm25_pruned":
+        # bm25_bmw stays an accepted mode name (perfbench, the CLI and
+        # serving call it); MaxScore serves it
+        if mode in ("bm25_pruned", "bm25_bmw"):
             return self.topk_pruned(query_text, k)
-        if mode == "bm25_bmw":
-            return self.topk_bmw(query_text, k)
         if mode == "phrase":
             return self.topk_phrase(query_text, k)
         if mode == "collapsed":
@@ -566,7 +590,7 @@ class SegmentIndex:
             return self._score_lm_dirichlet(query_text)
         if mode == "tfidf_classic":
             return self._score_tfidf_classic(query_text)
-        raise ValueError(mode)
+        raise InvalidRequest(f"unknown mode {mode!r}")
 
     def topk_after(
         self,
@@ -608,7 +632,7 @@ class SegmentIndex:
         monotone and moves a score by at most 5e-10, so no score below
         that band can round up to the k-th rounded score; the candidate
         set holds every doc tied with it at the boundary."""
-        n = len(docids)
+        n = self.last_trace.candidates = len(docids)
         if n == 0:
             return pd.DataFrame(
                 {"rank": np.empty(0, np.int32), "conv_id": [], "turn_idx": np.empty(0, np.int32), "score": []}
@@ -1214,6 +1238,8 @@ class SegmentIndex:
         ``weights`` (parallel to ``terms``) multiplies each term's
         contribution — the ``bm25_boost`` per-term boost path."""
         fd = self._dict.get("text")
+        tr = self.last_trace
+        tr.terms += len(terms)
         id_chunks, sc_chunks = [], []
         if fd is None:
             return _accumulate(id_chunks, sc_chunks)
@@ -1222,6 +1248,8 @@ class SegmentIndex:
             if r < 0:
                 continue
             s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
+            tr.terms_matched += 1
+            tr.runs_total += e - s
             if s == e:
                 continue
             docids, sc = self._scored_postings(fd, r, range(s, e))
@@ -1737,6 +1765,10 @@ class SegmentIndex:
         term's sorted docids.  A term whose runs overlap (a docid in
         two runs) is bounded by the sum of its run maxima, and its
         postings are added occurrence by occurrence.
+
+        The engine's one pruned top-k: it answers both ``bm25_pruned``
+        and ``bm25_bmw``.  Skipped runs show in :attr:`last_trace` as
+        ``runs_decoded < runs_total``.
         """
         if self._tuned:
             raise ValueError(
@@ -1747,6 +1779,8 @@ class SegmentIndex:
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
         fd = self._dict.get("text")
+        tr = self.last_trace
+        tr.terms += len(terms)
         infos = []
         if fd is not None:
             for t in terms:
@@ -1754,6 +1788,8 @@ class SegmentIndex:
                 if r < 0:
                     continue
                 s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
+                tr.terms_matched += 1
+                tr.runs_total += e - s
                 if e > s:
                     infos.append((t, r, _term_bound(fd, s, e)))
         infos.sort(key=lambda x: (-x[2], x[0]))
@@ -1804,136 +1840,6 @@ class SegmentIndex:
             if len(acc_ids) >= k and i + 1 < len(infos):
                 theta = np.partition(acc_sc, len(acc_sc) - k)[len(acc_sc) - k]
         return self._format_topk(acc_ids, acc_sc, k)
-
-    def topk_bmw(self, query_text: str, k: int) -> pd.DataFrame:
-        """BM25 top-k with document-space block-max pruning — the
-        block-max WAND family (Ding & Suel 2011, SIGIR), rank-identical
-        to :meth:`topk` in ``bm25`` mode (pytest-pinned), next to the
-        term-at-a-time MaxScore of :meth:`topk_pruned`.
-
-        Where MaxScore prunes whole TERMS once their summed bounds fall
-        under theta, this prunes DOCID RANGES: the run directory's
-        (first_docid, last_docid, block max) triples are swept into
-        elementary docid intervals, each interval's upper bound is the
-        sum over query terms of the block max of the run covering it,
-        and only runs intersecting an interval whose bound reaches
-        theta are ever decoded.  theta bootstraps from the strongest
-        term's posting list alone — partial scores are lower bounds of
-        full scores, so the k-th best partial is a sound threshold
-        (the WAND invariant).
-
-        Soundness notes: runs within a term are docid-disjoint in every
-        index this engine writes (the build partitions by docid and
-        updates append strictly-later docid ranges), which the sweep
-        verifies per term; if a foreign layout ever violated it, the
-        term falls back to a running-max open-ended bound — looser, but
-        still an upper bound, so pruning stays lossless.  Tombstones
-        mask BEFORE theta accumulates (a dead doc must never raise
-        theta, CLAUDE.md round-2 gotcha), and docs landing in pruned
-        intervals are dropped after accumulation — their totals may be
-        partial because their other runs were skipped.
-
-        Skip accounting lands in ``self._last_bmw`` (runs_total /
-        runs_decoded) so tests can assert real block skipping happened.
-        """
-        if self._tuned:
-            raise ValueError(
-                "topk_bmw requires the build-time k1/b: the stored "
-                "block qmax bounds were quantized under them and are "
-                "not valid upper bounds for tuned parameters"
-            )
-        toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
-        terms = sorted(set(toks.tolist()))
-        fd = self._dict.get("text")
-        infos = []
-        if fd is not None:
-            for t in terms:
-                r = fd.rank_of(t)
-                if r < 0:
-                    continue
-                s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
-                if e > s:
-                    infos.append((t, r, s, e, float(fd.max_score[s:e].max())))
-        if not infos:
-            return self._format_topk(np.empty(0, np.int64), np.empty(0), k)
-        infos.sort(key=lambda x: (-x[4], x[0]))
-        self._last_bmw = {
-            "runs_total": int(sum(e - s for _t, _r, s, e, _m in infos)),
-            "runs_decoded": 0,
-        }
-
-        # phase 1 — theta bootstrap: fully score the strongest term;
-        # every partial score is a lower bound of that doc's full score
-        _t0, r0, s0, e0, _m0 = infos[0]
-        self._last_bmw["runs_decoded"] += e0 - s0
-        ids0, sc0 = self._scored_postings(fd, r0, range(s0, e0))
-        # accumulate per docid BEFORE taking the k-th: overlapping-run
-        # (foreign) layouts can repeat a docid across runs, and summing
-        # its occurrence partials is required — the k-th of the raw
-        # per-occurrence array could exceed the true k-th full partial
-        # score, making theta unsound exactly in the fallback case the
-        # interval bound claims to cover (engine-written indexes are
-        # docid-disjoint, where this is the identity)
-        ids0, sc0 = _accumulate([ids0], [sc0])
-        theta = (
-            float(np.partition(sc0, len(sc0) - k)[len(sc0) - k])
-            if len(sc0) >= k
-            else -np.inf
-        )
-
-        # phase 2 — elementary-interval sweep: bounds are every run
-        # endpoint across the query's terms; each interval lies inside
-        # at most one run per term, so its upper bound is one gather
-        bounds = np.unique(
-            np.concatenate(
-                [fd.first_docid[s:e] for _t, _r, s, e, _m in infos]
-                + [fd.last_docid[s:e] + 1 for _t, _r, s, e, _m in infos]
-            )
-        )
-        starts = bounds[:-1]
-        ub = np.zeros(len(starts), np.float64)
-        for _t, _r, s, e, _m in infos:
-            f, l, m = fd.first_docid[s:e], fd.last_docid[s:e], fd.max_score[s:e]
-            idx = np.searchsorted(f, starts, side="right") - 1
-            has = idx >= 0
-            idxc = np.maximum(idx, 0)
-            if len(f) < 2 or bool(np.all(l[:-1] < f[1:])):
-                ub += np.where(has & (l[idxc] >= starts), m[idxc], 0.0)
-            else:  # overlapping runs (foreign layout): a doc may sit in
-                # every run that starts at or before it
-                ub += np.where(has, np.cumsum(m)[idxc], 0.0)
-        keep_iv = ub + self.PRUNE_EPS >= theta
-        kcs = np.concatenate([[0], np.cumsum(keep_iv.astype(np.int64))])
-
-        # phase 3 — decode only runs intersecting a surviving interval,
-        # exact-score, then drop docs whose interval was pruned (their
-        # accumulated totals may be partial)
-        id_chunks, sc_chunks = [ids0], [sc0]
-        for i, (_t, r, s, e, _m) in enumerate(infos):
-            if i == 0:
-                continue  # phase-1 chunks reused above
-            f, l = fd.first_docid[s:e], fd.last_docid[s:e]
-            i0 = np.maximum(np.searchsorted(bounds, f, side="right") - 1, 0)
-            i1 = np.minimum(
-                np.searchsorted(bounds, l, side="right"), len(keep_iv)
-            )
-            need = (kcs[i1] - kcs[i0]) > 0
-            idxs = np.arange(s, e)[need]
-            if len(idxs) == 0:
-                continue
-            self._last_bmw["runs_decoded"] += len(idxs)
-            ids, sc = self._scored_postings(fd, r, idxs)
-            if len(ids):
-                id_chunks.append(ids)
-                sc_chunks.append(sc)
-        ids, totals = _accumulate(id_chunks, sc_chunks)
-        if not keep_iv.all():
-            # ids are sorted: interval j holds ids[cut[j]:cut[j + 1]]
-            cut = np.searchsorted(ids, bounds)
-            mkeep = np.zeros(len(ids), bool)
-            mkeep[cut[0] : cut[-1]] = np.repeat(keep_iv, np.diff(cut))
-            ids, totals = ids[mkeep], totals[mkeep]
-        return self._format_topk(ids, totals, k)
 
     def _score_faithful(self, query_text: str):
         # reference loop: raw lowercase whitespace tokens, duplicates kept
@@ -5092,41 +4998,22 @@ ORDER BY r.query_id, r.rank
 def batch_profile(index_dir: str, queries=REFERENCE_QUERIES) -> pd.DataFrame:
     """Query-execution profile (the deterministic core of ES
     ``profile: true``): per query the tokenized distinct term count,
-    how many survived the dictionary, the total postings those terms
-    cover (Σ df — the work an exhaustive evaluation decodes), the
-    distinct candidate count, and the top rounded score.  Every
-    counter is exact and corpus-derived, so the profile itself
-    hash-compares against SQL (gate ``search_profile``; oracle
+    how many survived the dictionary, the postings an exhaustive
+    ``bm25`` evaluation decoded (Σ df of those terms), the distinct
+    candidate count, and the top rounded score.  A view over each
+    query's :class:`QueryTrace` — the counters are what ran, and they
+    hash-compare against SQL (gate ``search_profile``; oracle
     :func:`profile_sql`)."""
     idx = SegmentIndex(index_dir)
-    fd = idx._dict.get("text")
     rows = []
-    for qid, text, _k in queries:
-        toks, _r = normalize.tokenize_column(pa.array([text]), "body")
-        terms = sorted(set(toks.tolist()))
-        matched = [t for t in terms if fd is not None and fd.rank_of(t) >= 0]
-        n_postings = sum(int(fd.df[fd.rank_of(t)]) for t in matched)
-        docids, scores = idx._score_bm25_terms(matched)
-        top = (
-            float(round_half_up(np.float64(scores.max()), SCORE_ROUND))
-            if len(scores)
-            else 0.0
-        )
-        rows.append(
-            (qid, len(terms), len(matched), n_postings, len(docids), top)
-        )
-    return pd.DataFrame(
-        rows,
-        columns=[
-            "query_id", "n_terms", "n_matched", "n_postings", "n_candidates", "top_score",
-        ],
-    ).astype(
-        {
-            "n_terms": np.int64,
-            "n_matched": np.int64,
-            "n_postings": np.int64,
-            "n_candidates": np.int64,
-        }
+    for qid, text, k in queries:
+        top = idx.topk(text, int(k), "bm25")
+        tr = idx.last_trace
+        top_score = float(top["score"].iloc[0]) if len(top) else 0.0
+        rows.append((qid, tr.terms, tr.terms_matched, tr.postings_decoded, tr.candidates, top_score))
+    counts = ["n_terms", "n_matched", "n_postings", "n_candidates"]
+    return pd.DataFrame(rows, columns=["query_id", *counts, "top_score"]).astype(
+        dict.fromkeys(counts, np.int64)
     )
 
 

@@ -57,6 +57,9 @@ class IndexServer:
             self.titles = None
 
     def topk(self, query_text: str, k: int = 10, mode: str = "bm25") -> pd.DataFrame:
+        from .query import check_k
+
+        check_k(k)  # before the cache: a cached k=10 must not answer k=10.0
         if mode == "faithful_boosted":
             if self.titles is None:
                 raise ValueError("faithful_boosted requires sf_dir at start()")
@@ -252,7 +255,8 @@ class HttpFrontend:
     handler.
 
     ``GET /search?q=<text>&k=<n>&mode=<mode>`` -> JSON row list
-    (rank/conv_id/turn_idx/score); ``GET /info`` -> index stats.
+    (rank/conv_id/turn_idx/score); ``GET /info`` -> index stats.  A
+    bad ``k`` or an unknown ``mode`` is a 400; any other error a 500.
     Runs inside a (detachable) Ray actor so the endpoint outlives the
     starting driver exactly like the replica pool; binds an ephemeral
     port unless given one.
@@ -279,7 +283,18 @@ class HttpFrontend:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         from urllib.parse import parse_qs, urlparse
 
+        from .query import InvalidRequest, check_k
+
         handle = start(index_dir, replicas=replicas, name=name, sf_dir=sf_dir)
+
+        def parse_k(qs) -> int:
+            raw = qs.get("k", ["10"])[0]
+            try:
+                k = int(raw)
+            except ValueError:
+                k = raw
+            check_k(k)
+            return k
 
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *a):  # quiet
@@ -299,7 +314,7 @@ class HttpFrontend:
                     if u.path == "/search":
                         qs = parse_qs(u.query)
                         q = qs.get("q", [""])[0]
-                        k = int(qs.get("k", ["10"])[0])
+                        k = parse_k(qs)
                         mode = qs.get("mode", ["bm25"])[0]
                         # ES request shapes: &filter=<JSON clause list>
                         # (filter context) and &sort=ts_us[:asc|:desc]
@@ -336,7 +351,7 @@ class HttpFrontend:
 
                         qs = parse_qs(u.query)
                         q = qs.get("q", [""])[0]
-                        k = int(qs.get("k", ["10"])[0])
+                        k = parse_k(qs)
                         rows = ""
                         if q:
                             df = handle.topk(q, k, qs.get("mode", ["bm25"])[0])
@@ -357,6 +372,8 @@ class HttpFrontend:
                         self._send(200, json.dumps(handle.info()))
                     else:
                         self._send(404, json.dumps({"error": "not found"}))
+                except InvalidRequest as e:  # the client's fault: bad k or mode
+                    self._send(400, json.dumps({"error": str(e)}))
                 except Exception as e:  # surface errors as JSON, keep serving
                     import traceback
 

@@ -121,6 +121,16 @@ def test_http_front_matches_direct_actor(index_pair):
 
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=30)
+        # a bad request is the client's fault: 400, with the reason
+        for route in ("search", "ui"):
+            for bad in ("k=0", "k=abc", "k=10&mode=nope"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(
+                        f"http://{host}:{port}/{route}?q=hash&{bad}", timeout=30
+                    )
+                assert err.value.code == 400, (route, bad)
+                reason = _json.loads(err.value.read())["error"]
+                assert ("mode" if "mode" in bad else "k must be") in reason, reason
     finally:
         assert serve.stop(replicas=2, name="t-http") == 2
 
@@ -188,6 +198,9 @@ def test_request_cache_hits_and_identity(index_pair):
         pd.testing.assert_frame_equal(a, c)
         handle.topk("the", 5, "bm25")
         assert handle.info()["cache"]["entries"] == 2
+        # k is validated before the cache lookup, not coerced into a hit
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            handle.topk("hash join", 10.0, "bm25")
     finally:
         assert serve.stop(replicas=1, name="t-cache") == 1
 

@@ -97,8 +97,8 @@ def test_selective_identical_to_federated(indexes):
     sel = federate.SelectiveFederatedIndex([lo, hi])
     for _qid, text, k in query.REFERENCE_QUERIES:
         pd.testing.assert_frame_equal(fed.topk(text, k), sel.topk(text, k), obj=text)
-        st = sel._last_selective
-        assert 0 <= st["shards_evaluated"] <= st["shards_total"] == 2
+        tr = sel.last_trace
+        assert 0 <= tr.shards_evaluated <= tr.shards_total == 2
 
 
 def test_selective_skips_shard_without_rare_term(ray_session, tmp_path):
@@ -141,7 +141,7 @@ def test_selective_skips_shard_without_rare_term(ray_session, tmp_path):
     fed = federate.FederatedIndex([a, b])
     got = sel.topk("raretrend common", 5)
     pd.testing.assert_frame_equal(fed.topk("raretrend common", 5), got)
-    st = sel._last_selective
-    assert st == {"shards_total": 2, "shards_evaluated": 1}, st
+    tr = sel.last_trace
+    assert (tr.shards_total, tr.shards_evaluated) == (2, 1), tr
     # every hit comes from the rare shard
     assert all(c.startswith("aa-") for c in got.conv_id)

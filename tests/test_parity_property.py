@@ -206,13 +206,13 @@ def test_bm25_random_corpus_tie_parity(ray_session, tmp_path):
             got.reset_index(drop=True), want.reset_index(drop=True),
             check_dtype=False,
         )
-        for qid, text, k in queries:  # pruned/BMW rank-identity under ties
+        for qid, text, k in queries:  # MaxScore rank-identity under ties, both mode names
             base = si.topk(text, k, "bm25").reset_index(drop=True)
             pd.testing.assert_frame_equal(
                 base, si.topk(text, k, "bm25_pruned").reset_index(drop=True),
                 check_dtype=False,
             )
             pd.testing.assert_frame_equal(
-                base, si.topk_bmw(text, k).reset_index(drop=True),
+                base, si.topk(text, k, "bm25_bmw").reset_index(drop=True),
                 check_dtype=False,
             )

@@ -1,4 +1,4 @@
-"""Block-max/MaxScore pruned BM25 must be rank-identical to the exhaustive
+"""MaxScore-pruned BM25 must be rank-identical to the exhaustive
 scorer — on the documents-derived corpus AND a Zipf synthetic corpus whose
 head terms are salted across partitions (the pruning's hard case)."""
 
@@ -40,23 +40,19 @@ QUERIES = [q[1] for q in query.REFERENCE_QUERIES] + [
 ]
 
 
-def test_pruned_rank_identical_sf(sf_index):
+@pytest.mark.parametrize("mode", ["bm25_pruned", "bm25_bmw"])
+def test_pruned_rank_identical_sf(sf_index, mode):
     for text in QUERIES:
         for k in (1, 5, 10, 100):
             a = sf_index.topk(text, k, "bm25").reset_index(drop=True)
-            b = sf_index.topk_pruned(text, k).reset_index(drop=True)
-            pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{text!r} k={k}")
-
-
-def test_bmw_rank_identical_sf(sf_index):
-    for text in QUERIES:
-        for k in (1, 5, 10, 100):
-            a = sf_index.topk(text, k, "bm25").reset_index(drop=True)
-            b = sf_index.topk_bmw(text, k).reset_index(drop=True)
+            b = sf_index.topk(text, k, mode).reset_index(drop=True)
             pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{text!r} k={k}")
 
 
 def test_bmw_rank_identical_synth_and_skips(synth_index):
+    """The ``bm25_bmw`` mode name (served by MaxScore) on the synthetic
+    corpus's salted head-term runs: rank-identical to exhaustive bm25,
+    and its trace never decodes more runs than the query's terms have."""
     vocab_terms = sorted(synth_index.terms("text"))
     head = vocab_terms[:3]
     tail = vocab_terms[-3:]
@@ -67,30 +63,23 @@ def test_bmw_rank_identical_synth_and_skips(synth_index):
         head[0],
         f"{head[0]} {tail[0]} xylophone",
     ]
-    # on this corpus every head-term run's quantized block max stays
-    # above theta (Zipf head terms cover every docid range) and tail
-    # terms have df=1, so no interval can drop — the pin here is
-    # rank-identity under salted head-term runs; real skipping is
-    # pinned in test_bmw_skips_runs_on_clustered_terms
     for text in cases:
         for k in (3, 10, 50):
             a = synth_index.topk(text, k, "bm25").reset_index(drop=True)
-            b = synth_index.topk_bmw(text, k).reset_index(drop=True)
+            b = synth_index.topk(text, k, "bm25_bmw").reset_index(drop=True)
             pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{text!r} k={k}")
-            st = synth_index._last_bmw
-            assert st["runs_decoded"] <= st["runs_total"]
+            tr = synth_index.last_trace
+            assert tr.runs_decoded <= tr.runs_total, (text, k, tr)
 
 
-def test_bmw_skips_runs_on_clustered_terms(ray_session, tmp_path):
-    """The docid-range pruning's win case: a term clustered in a narrow
-    docid range (the realistic shape — docids are time-ordered and terms
-    trend).  theta bootstraps from the rare term's high-idf partials, the
-    intervals outside its span bound at the common term's block max
-    alone, and the common term's out-of-span runs are never decoded.
-    (The uniform sf/synth corpora can't skip — every term covers every
-    docid range, so sum-of-block-max never falls under theta; that's a
-    corpus property, not an algorithm gap.)"""
-    import numpy as np
+def test_pruned_skips_runs_on_clustered_terms(ray_session, tmp_path):
+    """MaxScore's run skipping on its win case: a term clustered in a
+    narrow docid range (the realistic shape — docids are time-ordered
+    and terms trend).  The rare term's high-idf scores set theta, the
+    common term's bound falls under it, and only the common term's runs
+    whose docid range holds an accumulated doc are decoded.  (The
+    uniform sf/synth corpora can't skip — every term covers every docid
+    range; that's a corpus property, not an algorithm gap.)"""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -127,10 +116,10 @@ def test_bmw_skips_runs_on_clustered_terms(ray_session, tmp_path):
     idx = query.SegmentIndex(str(d))
     for k in (1, 5, 10):
         a = idx.topk("raretrend common", k, "bm25").reset_index(drop=True)
-        b = idx.topk_bmw("raretrend common", k).reset_index(drop=True)
+        b = idx.topk("raretrend common", k, "bm25_pruned").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"k={k}")
-        st = idx._last_bmw
-        assert st["runs_decoded"] < st["runs_total"], (k, st)
+        tr = idx.last_trace
+        assert tr.runs_decoded < tr.runs_total, (k, tr)
 
 
 def test_pruned_rank_identical_synth_head_terms(synth_index):
@@ -148,8 +137,38 @@ def test_pruned_rank_identical_synth_head_terms(synth_index):
     for text in cases:
         for k in (3, 10, 50):
             a = synth_index.topk(text, k, "bm25").reset_index(drop=True)
-            b = synth_index.topk_pruned(text, k).reset_index(drop=True)
+            b = synth_index.topk(text, k, "bm25_pruned").reset_index(drop=True)
             pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=f"{text!r} k={k}")
+            tr = synth_index.last_trace
+            assert tr.runs_decoded <= tr.runs_total, (text, k, tr)
+
+
+def test_trace_counts_what_ran(sf_index):
+    """The trace of an exhaustive bm25 query decodes every run of every
+    matched term — Σ df postings — and MaxScore decodes no more runs
+    than the query's terms have, at identical ranks."""
+    import pyarrow as pa
+
+    from raystorm import normalize
+
+    fd = sf_index._dict["text"]
+    for _qid, text, k in query.REFERENCE_QUERIES:
+        toks, _ = normalize.tokenize_column(pa.array([text]), "body")
+        terms = sorted(set(toks.tolist()))
+        ranks = [r for r in map(fd.rank_of, terms) if r >= 0]
+        docids = [sf_index.postings(t)[0] for t in terms if fd.rank_of(t) >= 0]
+        n_cand = len(np.unique(np.concatenate(docids))) if docids else 0
+        a = sf_index.topk(text, k, "bm25").reset_index(drop=True)
+        tr = sf_index.last_trace
+        assert (tr.terms, tr.terms_matched) == (len(terms), len(ranks)), (text, tr)
+        assert tr.postings_decoded == sum(int(fd.df[r]) for r in ranks), (text, tr)
+        assert tr.runs_decoded == tr.runs_total, (text, tr)
+        assert tr.candidates == n_cand, (text, tr)
+        b = sf_index.topk(text, k, "bm25_pruned").reset_index(drop=True)
+        tr = sf_index.last_trace
+        assert tr.terms_matched == len(ranks), (text, tr)
+        assert tr.runs_decoded <= tr.runs_total, (text, tr)
+        pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=text)
 
 
 @pytest.mark.parametrize("mode", ["bm25", "bm25_pruned", "bm25_bmw"])
@@ -195,10 +214,9 @@ def dup_run_index(sf_index, tmp_path_factory):
 
 def test_overlapping_runs_same_topk_in_every_mode(sf_index, dup_run_index):
     """A term whose two runs cover the same docids counts each posting
-    twice in every mode: exhaustive bm25, MaxScore (whose update phase
-    then adds every occurrence with ``np.add.at`` and whose term bound
-    is the sum of the run maxima) and BMW (whose interval bound is then
-    open-ended over the runs)."""
+    twice in every mode: exhaustive bm25 and MaxScore (whose update
+    phase then adds every occurrence with ``np.add.at`` and whose term
+    bound is the sum of the run maxima), under both of its mode names."""
     idx = dup_run_index
     assert idx.n_runs("merge") == 2
     docids = idx.postings("merge")[0]

@@ -92,7 +92,8 @@ class _Codec:
         return np.array([str(d) for d in docids], object), np.zeros(len(docids), np.int32)
 
 
-_FMT = types.SimpleNamespace(codec=_Codec())
+# the two SegmentIndex attributes _format_topk reads
+_FMT = types.SimpleNamespace(codec=_Codec(), last_trace=query.QueryTrace())
 
 
 def _format_ref(docids, scores, k):
