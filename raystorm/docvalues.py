@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import uuid
 from datetime import datetime, timezone
@@ -39,6 +40,7 @@ import pyarrow.parquet as pq
 
 from . import build
 from .docids import DocIdCodec
+from .query import InvalidRequest
 
 DIRNAME = "docvalues"
 
@@ -430,22 +432,23 @@ def _clause_value(col: str, value):
     return value
 
 
+#: each clause operator -> its mask over a doc-value column
+_FILTER_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "in": lambda vals, value: np.isin(vals, list(value)),
+}
+
+
 def _clause_mask(vals: np.ndarray, op: str, value) -> np.ndarray:
-    if op == "=":
-        return vals == value
-    if op == "!=":
-        return vals != value
-    if op == "<":
-        return vals < value
-    if op == "<=":
-        return vals <= value
-    if op == ">":
-        return vals > value
-    if op == ">=":
-        return vals >= value
-    if op == "in":
-        return np.isin(vals, list(value))
-    raise ValueError(f"unknown filter op {op!r}")
+    fn = _FILTER_OPS.get(op) if isinstance(op, str) else None
+    if fn is None:
+        raise InvalidRequest(f"unknown filter op {op!r}")
+    return fn(vals, value)
 
 
 def encode_clauses(clauses) -> str:
@@ -455,7 +458,23 @@ def encode_clauses(clauses) -> str:
 
 
 def decode_clauses(s: str):
-    return [tuple(c) for c in json.loads(s)] if s else []
+    """JSON -> clause tuples.  A filter that is not JSON, not a list,
+    or holds a clause that is not ``[column, op, value]`` with a known
+    op raises :class:`query.InvalidRequest` (the client's fault)."""
+    if not s:
+        return []
+    try:
+        raw = json.loads(s)
+    except ValueError:
+        raise InvalidRequest(f"filter is not JSON: {s!r}") from None
+    if not isinstance(raw, list):
+        raise InvalidRequest(f"filter must be a list of clauses, got {s!r}")
+    for c in raw:
+        if not isinstance(c, list) or len(c) != 3:
+            raise InvalidRequest(f"filter clause {c!r} is not [column, op, value]")
+        if not isinstance(c[1], str) or c[1] not in _FILTER_OPS:
+            raise InvalidRequest(f"unknown filter op {c[1]!r}")
+    return [tuple(c) for c in raw]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import pyarrow as pa
 from . import normalize, segments
 from .analysis import round_half_up
 from .build import lucene_idf
-from .query import RANK_ROUND, SCORE_ROUND, QueryTrace, SegmentIndex, _accumulate
+from .query import RANK_ROUND, SCORE_ROUND, QueryTrace, SegmentIndex, _accumulate, check_k
 
 
 class FederatedIndex:
@@ -73,6 +73,7 @@ class FederatedIndex:
         its own postings with the MERGED idf/avgdl, candidates union at
         (conv_id, turn_idx), ranking ties break on (conv_id, turn_idx)
         ascending — the same global order as a single-index build."""
+        check_k(k)
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
         gs = self.global_stats.get(field, {"N": 0, "avgdl": 0.0})
@@ -182,6 +183,7 @@ class SelectiveFederatedIndex(FederatedIndex):
         return ub
 
     def topk(self, query_text: str, k: int, field: str = "text") -> pd.DataFrame:
+        check_k(k)
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
         terms = sorted(set(toks.tolist()))
         gs = self.global_stats.get(field, {"N": 0, "avgdl": 0.0})

@@ -30,8 +30,10 @@ ordering differences (~1e-15 relative).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +51,9 @@ SCORE_ROUND = 6
 
 
 class InvalidRequest(ValueError):
-    """A request the engine refuses before doing any work: a bad ``k`` or
-    an unknown mode.  Serving surfaces map it to HTTP 400; every other
+    """A request the engine refuses before doing any work: a bad ``k``,
+    an unknown mode or a malformed filter (``docvalues.decode_clauses``).
+    Serving surfaces map it to HTTP 400; every other
     exception (``CorruptSegmentError`` included) is a server fault."""
 
 
@@ -111,7 +114,7 @@ class _FieldDict:
     __slots__ = (
         "terms", "df", "cf", "idf", "run_start",
         "salt", "part", "offset", "nbytes", "max_score",
-        "first_docid", "last_docid",
+        "first_docid", "last_docid", "run_df",
     )
 
     def lower_bound(self, key: str) -> int:
@@ -144,16 +147,83 @@ class _FieldDict:
         return lo, hi
 
 
+class _QueryScratch:
+    """One thread's reusable query state on one index, so that a warm
+    head query allocates almost nothing large: the dense accumulator
+    (float64 scores and a presence mask over the docid span, all 0.0 /
+    False between calls) and the run buffer that decode and score write
+    into."""
+
+    def __init__(self, span: int):
+        self.run = segments.RunBuffer()
+        self.score = np.zeros(span)
+        self.seen = np.zeros(span, bool)
+
+    def sum_runs(self, runs):
+        """Sum ``runs`` of (strictly increasing docids, scores) -> (sorted
+        distinct docids, totals), fresh arrays.  Each run goes take →
+        add → put (its docids never repeat a slot), so every doc's
+        partials are added in run order starting from 0.0, as
+        ``np.bincount`` adds them: totals are bit-identical to
+        :func:`_accumulate`.  Only the docid range the runs touched is
+        scanned and reset afterwards, also when a run fails, so the cost
+        follows the runs, not the span.  (``mode="clip"`` only skips the
+        bounds check's temporary: docids are inside the span.)"""
+        lo, hi = len(self.seen), 0
+        try:
+            for docids, sc in runs:
+                if not len(docids):
+                    continue
+                lo, hi = min(lo, int(docids[0])), max(hi, int(docids[-1]) + 1)
+                part = self.score.take(docids, out=self.run.array("sum", len(docids), np.float64), mode="clip")
+                part += sc
+                self.score[docids] = part
+                self.seen[docids] = True
+        finally:
+            ids = np.flatnonzero(self.seen[lo:hi])
+            ids += lo
+            totals = self.score.take(ids, mode="clip")
+            self.score[ids] = 0.0
+            self.seen[ids] = False
+        return ids, totals
+
+    def update(self, ids: np.ndarray, totals: np.ndarray, runs) -> np.ndarray:
+        """``totals`` of the sorted distinct docs ``ids`` plus the scores
+        of the ``runs`` (strictly increasing docids each) that fall on
+        them, as a fresh array; other docs' postings are ignored.  Each
+        doc gains its partials in run order, one at a time."""
+        self.score[ids] = totals
+        self.seen[ids] = True
+        try:
+            for docids, sc in runs:
+                n = len(docids)
+                part = self.score.take(docids, out=self.run.array("sum", n, np.float64), mode="clip")
+                mine = self.seen.take(docids, out=self.run.array("mine", n, bool), mode="clip")
+                np.add(part, sc, out=part, where=mine)
+                self.score[docids] = part
+        finally:
+            out = self.score.take(ids, mode="clip")
+            self.score[ids] = 0.0
+            self.seen[ids] = False
+        return out
+
+
 class SegmentIndex:
-    """Loads the on-disk index once; answers term lookups + top-k queries."""
+    """Loads the on-disk index once; answers term lookups + top-k queries.
+
+    A query reuses scratch (:class:`_QueryScratch`) instead of allocating
+    per query: one per thread that queries the index, made on that
+    thread's first query, so calls from several threads never share
+    accumulators.  Every array a query returns is a fresh copy, never a
+    view on the scratch."""
 
     def __init__(self, index_dir: str, k1: float | None = None, b: float | None = None):
         """``k1``/``b`` override the build-time BM25 parameters for this
         reader (the ES per-request similarity-tuning surface) — legal
         because tf/dl/df are stored raw and scores derive at query
-        time.  The PRUNED mode is excluded: its block qmax bounds were
-        quantized under the build-time parameters (see
-        :meth:`topk_pruned`)."""
+        time.  The PRUNED mode is excluded: its per-run ``max_score``
+        bounds in ``terms.parquet`` were computed under the build-time
+        parameters (see :meth:`topk_pruned`)."""
         from .admin import resolve_index
 
         index_dir = resolve_index(index_dir)  # alias files resolve here
@@ -163,6 +233,7 @@ class SegmentIndex:
         self.k1 = manifest["config"]["k1"] if k1 is None else float(k1)
         self.b = manifest["config"]["b"] if b is None else float(b)
         self._tuned = k1 is not None or b is not None
+        self._local = threading.local()  # per-thread query scratch
         self.last_trace = QueryTrace()
         self.global_stats = manifest["global_stats"]
         self.field_modes = dict(manifest["config"]["fields"])
@@ -191,7 +262,7 @@ class SegmentIndex:
                 tdict = pq.read_table(
                     os.path.join(parts_dir, name, "terms.parquet"),
                     columns=[
-                        "field", "term", "salt", "offset", "nbytes",
+                        "field", "term", "salt", "df", "offset", "nbytes",
                         "max_score", "first_docid", "last_docid",
                     ],
                 )
@@ -239,11 +310,12 @@ class SegmentIndex:
                 fd.offset = rsub["offset"].to_numpy()[ro]
                 fd.nbytes = rsub["nbytes"].to_numpy()[ro]
                 fd.max_score = rsub["max_score"].to_numpy()[ro]
+                fd.run_df = rsub["df"].to_numpy()[ro]
                 fd.first_docid = rsub["first_docid"].to_numpy()[ro]
                 fd.last_docid = rsub["last_docid"].to_numpy()[ro]
                 counts = np.bincount(rank, minlength=V)
             else:
-                fd.salt = fd.part = fd.offset = fd.nbytes = np.empty(0, np.int64)
+                fd.salt = fd.part = fd.offset = fd.nbytes = fd.run_df = np.empty(0, np.int64)
                 fd.max_score = np.empty(0)
                 fd.first_docid = fd.last_docid = np.empty(0, np.int64)
                 counts = np.zeros(V, np.int64)
@@ -304,12 +376,27 @@ class SegmentIndex:
             )
         return self._part_data[p]
 
-    def _decode_runs(self, fd: _FieldDict, idxs) -> list:
+    @property
+    def _scratch(self) -> _QueryScratch:
+        """The calling thread's scratch, made on its first query."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = _QueryScratch(self.codec.span)
+        return scratch
+
+    def _decode_runs(self, fd: _FieldDict, idxs, buf: segments.RunBuffer | None = None) -> list:
+        """Decoded (docids, tfs, dls) of the runs ``idxs``.  With ``buf``
+        each run is a view into it, valid until the next decode into
+        ``buf``: the hot paths pass one run at a time."""
         out = []
         for i in idxs:
             p, off = int(fd.part[i]), int(fd.offset[i])
             try:
-                out.append(segments.decode_run(self._part(p)[off : off + int(fd.nbytes[i])]))
+                out.append(segments.decode_run(self._part(p)[off : off + int(fd.nbytes[i])], buf))
+                if len(out[-1][0]) != fd.run_df[i]:
+                    raise segments.CorruptSegmentError(
+                        f"run holds {len(out[-1][0])} postings, its terms.parquet row {int(fd.run_df[i])}"
+                    )
             except segments.CorruptSegmentError as e:
                 raise segments.CorruptSegmentError(
                     f"part-{p:05d}/postings.bin offset {off}: {e}"
@@ -463,16 +550,30 @@ class SegmentIndex:
         keep = ~deleted_docid_mask(docids, self._ts_starts, self._ts_ends)
         return (docids[keep], *(c[keep] for c in cols))
 
+    def _run_scores(self, fd: _FieldDict, rank: int, idxs):
+        """Yield (docids, BM25 scores) of each run ``idxs`` of the
+        text-field term at vocabulary ``rank``, tombstoned docs dropped.
+        Each run is decoded and scored in the scratch's run buffer, so
+        a yielded pair is valid only until the next one."""
+        idf, avgdl = float(fd.idf[rank]), self.global_stats["text"]["avgdl"]
+        buf = self._scratch.run
+        for i in idxs:
+            ((docids, tfs, dls),) = self._decode_runs(fd, (i,), buf)
+            sc = segments.bm25_term_scores(tfs, dls, idf, avgdl, self.k1, self.b, buf)
+            yield self._drop_deleted(docids, sc)
+
     def _scored_postings(self, fd: _FieldDict, rank: int, idxs):
         """(docids, BM25 scores) of the text-field term at vocabulary
-        ``rank`` over its runs ``idxs``, tombstoned docs dropped.  Runs
-        are scored one by one, so only docids and scores are joined."""
-        idf, avgdl = float(fd.idf[rank]), self.global_stats["text"]["avgdl"]
-        runs = self._decode_runs(fd, idxs)
-        scores = [segments.bm25_term_scores(tfs, dls, idf, avgdl, self.k1, self.b) for _d, tfs, dls in runs]
-        if len(runs) == 1:
-            return self._drop_deleted(runs[0][0], scores[0])
-        return self._drop_deleted(np.concatenate([r[0] for r in runs]), np.concatenate(scores))
+        ``rank`` over its runs ``idxs``, tombstoned docs dropped, as
+        fresh arrays."""
+        n = int(fd.run_df[idxs].sum())
+        ids, scs = np.empty(n, np.int64), np.empty(n)
+        at = 0
+        for docids, sc in self._run_scores(fd, rank, idxs):
+            ids[at : at + len(docids)] = docids
+            scs[at : at + len(docids)] = sc
+            at += len(docids)
+        return ids[:at], scs[:at]
 
     def explain(self, query_text: str, conv_id: str, turn_idx: int) -> pd.DataFrame:
         """Lucene-style score explanation: the per-term BM25 breakdown
@@ -613,6 +714,7 @@ class SegmentIndex:
         Works for every accumulator mode (bm25 / and / wild / fuzzy /
         bool / bm25f / faithful).
         """
+        self.last_trace = QueryTrace()
         docids, scores = self._score_mode(query_text, mode)
         cursor = int(self.codec.encode(np.array([after[0]]), np.array([after[1]]))[0])
         r = round_half_up(scores, RANK_ROUND)
@@ -631,7 +733,8 @@ class SegmentIndex:
         are rounded and sorted.  Rounding to ``RANK_ROUND`` decimals is
         monotone and moves a score by at most 5e-10, so no score below
         that band can round up to the k-th rounded score; the candidate
-        set holds every doc tied with it at the boundary."""
+        set holds every doc tied with it at the boundary.  The k-th is
+        found in the index's scratch, not in a copy of ``scores``."""
         n = self.last_trace.candidates = len(docids)
         if n == 0:
             return pd.DataFrame(
@@ -642,7 +745,7 @@ class SegmentIndex:
         elif k < 1:
             cand = np.empty(0, np.int64)
         else:
-            kth = np.partition(scores, n - k)[n - k]
+            kth = _kth_largest(scores, k, self._scratch.run)
             cand = np.flatnonzero(scores >= kth - 1e-6) if kth == kth else np.arange(n)
         r = round_half_up(scores[cand], RANK_ROUND)
         sel = cand[np.lexsort((docids[cand], -r))[:k]]
@@ -673,6 +776,7 @@ class SegmentIndex:
         ``mode`` (full-corpus stats — a filter narrows the RESULT set,
         never the idf, matching Lucene's filter-context semantics), then
         drop candidates whose doc values fail the clause conjunction."""
+        self.last_trace = QueryTrace()
         docids, scores = self._score_mode(query_text, mode)
         if len(docids) and clauses:
             keep = self.docvalues().mask(docids, clauses)
@@ -999,6 +1103,7 @@ class SegmentIndex:
         corpus size.  Rank-identical (pytest-pinned); a corpus whose ts
         order was disproven at build time falls back transparently.
         """
+        self.last_trace = QueryTrace()
         if field == "ts_us" and not clauses and self.docvalues().ts_monotone:
             return self._topk_sorted_early(query_text, k, desc)
         docids, vals = self._sorted_candidates(query_text, clauses, field)
@@ -1145,6 +1250,7 @@ class SegmentIndex:
         turn_idx)`` in the (field dir, docid asc) order, re-ranked 1..k.
         Same determinism contract as :meth:`topk_after`: the cursor must
         be a hit of this query or KeyError."""
+        self.last_trace = QueryTrace()
         docids, vals = self._sorted_candidates(query_text, clauses, field)
         cursor = int(
             self.codec.encode(np.array([after[0]]), np.array([after[1]]))[0]
@@ -1240,24 +1346,49 @@ class SegmentIndex:
         fd = self._dict.get("text")
         tr = self.last_trace
         tr.terms += len(terms)
-        id_chunks, sc_chunks = [], []
-        if fd is None:
-            return _accumulate(id_chunks, sc_chunks)
-        for i, t in enumerate(terms):
+        matched = []  # (position in terms, vocabulary rank, run indexes)
+        for i, t in enumerate(terms if fd is not None else ()):
             r = fd.rank_of(t)
             if r < 0:
                 continue
             s, e = int(fd.run_start[r]), int(fd.run_start[r + 1])
             tr.terms_matched += 1
             tr.runs_total += e - s
-            if s == e:
-                continue
-            docids, sc = self._scored_postings(fd, r, range(s, e))
+            if s < e:
+                matched.append((i, r, range(s, e)))
+        if self._dense(fd, [r for _i, r, _idxs in matched]):
+            return self._scratch.sum_runs(self._term_runs(fd, matched, weights))
+        id_chunks, sc_chunks = [], []
+        for i, r, idxs in matched:
+            docids, sc = self._scored_postings(fd, r, idxs)
             if weights is not None:
-                sc = sc * float(weights[i])
+                sc *= float(weights[i])
             id_chunks.append(docids)
             sc_chunks.append(sc)
         return _accumulate(id_chunks, sc_chunks)
+
+    def _dense(self, fd: _FieldDict, ranks) -> bool:
+        """Whether the terms at vocabulary ``ranks`` (each with runs)
+        accumulate densely: two terms or more whose postings (Σdf, from
+        the dictionary, before decoding) cover at least 1/8 of their
+        docid span (:func:`_dense_enough`), decided before any run is
+        decoded."""
+        if len(ranks) < 2:
+            return False
+        runs = [range(int(fd.run_start[r]), int(fd.run_start[r + 1])) for r in ranks]
+        lo = min(int(fd.first_docid[idxs.start]) for idxs in runs)
+        hi = max(int(fd.last_docid[idxs.start : idxs.stop].max()) for idxs in runs)
+        return hi < self.codec.span and _dense_enough(int(fd.df[ranks].sum()), lo, hi)
+
+    def _term_runs(self, fd: _FieldDict, matched, weights=None):
+        """(docids, BM25 scores) of every run of the ``matched`` terms,
+        in chunk order (terms as given, runs in docid order), each run's
+        scores times its term's weight; a pair is valid until the next."""
+        for i, r, idxs in matched:
+            for docids, sc in self._run_scores(fd, r, idxs):
+                if weights is not None:
+                    sc *= float(weights[i])
+                yield docids, sc
 
     #: wildcard-expansion cap per prefix (the Lucene PrefixQuery rewrite
     #: bound, deliberately small so the deterministic (df desc, term asc)
@@ -1745,26 +1876,29 @@ class SegmentIndex:
     PRUNE_EPS = 1e-6
 
     def topk_pruned(self, query_text: str, k: int) -> pd.DataFrame:
-        """BM25 top-k with MaxScore/block-max pruning — rank-identical to
+        """BM25 top-k with MaxScore pruning — rank-identical to
         :meth:`topk` in ``bm25`` mode (pytest-pinned).
 
-        Term-at-a-time MaxScore (Turtle & Flood 1995; block-max bounds
-        per Ding & Suel 2011): terms are processed in descending
-        max-score order; once the remaining terms' summed upper bounds
-        fall below the current k-th partial score (minus PRUNE_EPS), new
-        documents can no longer enter the top-k, so later posting lists
-        only *update* accumulated docs — and only their runs whose
-        docid range intersects the accumulator (run bounds = the block-
-        max directory of ``segments.encode_run``; on-disk byte skipping
-        uses the same per-block ``payload_nbytes``).
+        Term-at-a-time MaxScore (Turtle & Flood 1995): terms are
+        processed in descending max-score order, a term's bound being
+        its runs' ``max_score`` from ``terms.parquet``; once the
+        remaining terms' summed upper bounds fall below the current
+        k-th partial score (minus PRUNE_EPS), new documents can no
+        longer enter the top-k, so later posting lists only *update*
+        accumulated docs — and only their runs whose docid range
+        (``first_docid`` / ``last_docid`` in the same dictionary)
+        intersects the accumulator.  Runs decode through the index's
+        scratch run buffer.
 
         The update phase is threshold-first (the threshold maintenance
         of SAP, ICDE 2018): before each term, accumulated docs whose
         score plus the remaining terms' bounds stays under theta are
-        dropped, and only the survivors are binary-searched into the
-        term's sorted docids.  A term whose runs overlap (a docid in
-        two runs) is bounded by the sum of its run maxima, and its
-        postings are added occurrence by occurrence.
+        dropped, and the term's runs update only the survivors: binary
+        searched into each run's docids, or, when the survivors number
+        at least 1/8 of the runs' postings, looked up in the scratch's
+        dense arrays (:meth:`_QueryScratch.update`).  A term
+        whose runs overlap (a docid in two runs) is bounded by the sum
+        of its run maxima, and its postings are added run by run.
 
         The engine's one pruned top-k: it answers both ``bm25_pruned``
         and ``bm25_bmw``.  Skipped runs show in :attr:`last_trace` as
@@ -1773,7 +1907,7 @@ class SegmentIndex:
         if self._tuned:
             raise ValueError(
                 "topk_pruned requires the build-time k1/b: the stored "
-                "block qmax bounds were quantized under them and are "
+                "run max_score bounds were computed under them and are "
                 "not valid upper bounds for tuned parameters"
             )
         toks, _ = normalize.tokenize_column(pa.array([query_text]), "body")
@@ -1797,49 +1931,62 @@ class SegmentIndex:
             [np.cumsum([m for _t, _r, m in infos][::-1])[::-1], [0.0]]
         ) if infos else np.array([0.0])
 
-        acc_ids = np.empty(0, np.int64)
-        acc_sc = np.empty(0, np.float64)
+        ranks = [r for _t, r, _m in infos]
+        dense = self._dense(fd, ranks)
+        acc_ids, acc_sc = np.empty(0, np.int64), np.empty(0)
         theta = -np.inf
-        for i, (t, rank, _m) in enumerate(infos):
-            prune = tail[i] + self.PRUNE_EPS < theta
+        for i, rank in enumerate(ranks):
             s, e = int(fd.run_start[rank]), int(fd.run_start[rank + 1])
-            idxs = np.arange(s, e)
-            if prune:
+            if len(acc_ids) >= k:
+                theta = _theta(acc_sc, k)
+            if tail[i] + self.PRUNE_EPS >= theta:
+                # essential term: any of its postings may enter the top-k.
+                # Deletes are masked BEFORE accumulating: a tombstoned doc
+                # must never raise theta (that could prune a live document)
+                acc_ids, acc_sc = self._add_term(fd, acc_ids, acc_sc, rank, dense)
+            else:
                 # a doc that cannot reach theta even with every remaining
                 # term's bound can never enter the top-k: drop it (theta
                 # is unchanged: at least k docs score >= theta)
                 live = acc_sc + tail[i] + self.PRUNE_EPS >= theta
-                acc_ids, acc_sc = acc_ids[live], acc_sc[live]
+                if not live.all():
+                    acc_ids, acc_sc = acc_ids[live], acc_sc[live]
                 # run-level skip: decode only runs whose docid range
-                # contains at least one accumulated doc (first/last
-                # bounds from the segment dictionary — the same skip a
-                # disk reader does with the block payload_nbytes)
+                # contains an accumulated doc (first/last bounds from the
+                # segment dictionary), and update only the docs in it.
+                # Run by run in docid order, so a doc in two overlapping
+                # runs gains each occurrence in turn.
                 lo = np.searchsorted(acc_ids, fd.first_docid[s:e], side="left")
                 hi = np.searchsorted(acc_ids, fd.last_docid[s:e], side="right")
-                idxs = idxs[lo < hi]
-                if len(idxs) == 0:
-                    continue
-            # deletes are masked BEFORE accumulating: a tombstoned doc
-            # must never raise theta (that could prune a live document)
-            docids, sc = self._scored_postings(fd, rank, idxs)
-            if not len(docids):
-                continue
-            if not len(acc_ids):
-                acc_ids, acc_sc = _accumulate([docids], [sc])
-            elif not prune:
-                acc_ids, acc_sc = _accumulate([acc_ids, docids], [acc_sc, sc])
-            elif (docids[1:] > docids[:-1]).all():
-                # non-essential term: only surviving docs may gain score
-                pos = np.minimum(np.searchsorted(docids, acc_ids), len(docids) - 1)
-                hit = docids[pos] == acc_ids
-                acc_sc[hit] += sc[pos[hit]]
-            else:  # overlapping runs repeat a docid: add each occurrence
-                pos = np.minimum(np.searchsorted(acc_ids, docids), len(acc_ids) - 1)
-                valid = acc_ids[pos] == docids
-                np.add.at(acc_sc, pos[valid], sc[valid])
-            if len(acc_ids) >= k and i + 1 < len(infos):
-                theta = np.partition(acc_sc, len(acc_sc) - k)[len(acc_sc) - k]
+                hit_runs = np.flatnonzero(lo < hi)
+                runs = self._run_scores(fd, rank, s + hit_runs)
+                if 8 * len(acc_ids) >= int(fd.run_df[s + hit_runs].sum()):
+                    # survivors dense among the postings: look them up
+                    # in the scratch's dense arrays, not by binary search
+                    acc_sc = self._scratch.update(acc_ids, acc_sc, runs)
+                else:
+                    for j, (docids, sc) in zip(hit_runs, runs):
+                        if not len(docids):
+                            continue
+                        ids, scs = acc_ids[lo[j] : hi[j]], acc_sc[lo[j] : hi[j]]
+                        pos = np.minimum(np.searchsorted(docids, ids), len(docids) - 1)
+                        hit = docids[pos] == ids
+                        scs[hit] += sc[pos[hit]]
         return self._format_topk(acc_ids, acc_sc, k)
+
+    def _add_term(self, fd: _FieldDict, acc_ids, acc_sc, rank: int, dense: bool):
+        """(``acc_ids``, ``acc_sc``) plus every posting's BM25 score of the
+        text-field term at vocabulary ``rank`` -> (sorted distinct docids,
+        totals): a MaxScore essential term.  A ``dense`` query sums in
+        the scratch's dense accumulator; a first term is its own sorted
+        answer."""
+        idxs = range(int(fd.run_start[rank]), int(fd.run_start[rank + 1]))
+        if dense and len(acc_ids):
+            runs = itertools.chain([(acc_ids, acc_sc)], self._run_scores(fd, rank, idxs))
+            return self._scratch.sum_runs(runs)
+        chunks = [(acc_ids, acc_sc)] if len(acc_ids) else []
+        chunks.append(self._scored_postings(fd, rank, idxs))
+        return _accumulate([d for d, _ in chunks], [sc for _, sc in chunks])
 
     def _score_faithful(self, query_text: str):
         # reference loop: raw lowercase whitespace tokens, duplicates kept
@@ -2267,6 +2414,40 @@ def _term_bound(fd: _FieldDict, s: int, e: int) -> float:
     return float(m.sum())
 
 
+def _theta(scores: np.ndarray, k: int) -> float:
+    """MaxScore's threshold: a lower bound of the k-th largest of
+    ``scores`` (``1 <= k <= len(scores)``), which is all pruning needs.
+    Past ``128 * k`` scores it is the k-th largest maximum of 128-score
+    blocks — k distinct scores reach it, and the top k rarely share a
+    block, so it is the k-th largest itself almost always — found
+    without partitioning every score; below that, the exact k-th.  A NaN
+    score gives no threshold (-inf)."""
+    n = len(scores)
+    if n >= 128 * k:
+        scores = np.maximum.reduceat(scores, np.arange(0, n, 128))
+        n = len(scores)
+    t = np.partition(scores, n - k)[n - k]
+    return t if t == t else -np.inf
+
+
+def _kth_largest(scores: np.ndarray, k: int, buf: segments.RunBuffer) -> float:
+    """The k-th largest of ``scores`` (``1 <= k <= len(scores)``),
+    partitioned in ``buf`` instead of in a fresh copy."""
+    part = buf.array("kth", len(scores), np.float64)
+    part[:] = scores
+    part.partition(len(scores) - k)
+    return part[len(scores) - k]
+
+
+def _dense_enough(n_postings: int, lo: int, hi: int) -> bool:
+    """The accumulator's density rule, shared by :func:`_accumulate`
+    (from the decoded arrays) and :meth:`SegmentIndex._dense` (from the
+    dictionary, before decoding): ``n_postings`` over the docids
+    ``lo..hi`` sum densely when they cover at least 1/8 of that range,
+    so at most 8 slots are scanned per posting."""
+    return 8 * n_postings >= hi - lo + 1
+
+
 def _accumulate(id_chunks, sc_chunks):
     """Sum per-term score arrays into per-doc totals -> (sorted distinct
     docids, float64 totals).
@@ -2291,9 +2472,9 @@ def _accumulate(id_chunks, sc_chunks):
     scs = np.concatenate(sc_chunks).astype(np.float64, copy=False)
     if len(ids) < 2:
         return ids, scs + 0.0
-    lo = ids.min()
-    span = int(ids.max() - lo) + 1
-    if 8 * len(ids) >= span:
+    lo, hi = ids.min(), ids.max()
+    if _dense_enough(len(ids), int(lo), int(hi)):
+        span = int(hi - lo) + 1
         rel = np.subtract(ids, lo, out=ids)  # ids is our own concatenation
         present = np.zeros(span, bool)
         present[rel] = True

@@ -17,11 +17,15 @@ partition — head terms are salted across partitions by docid range, see
 - ``tf`` is the within-doc term frequency, ``dl`` the document's kept-
   token count (BM25 norm), stored inline so scoring never needs a
   side lookup of a global doc-length array (scales past driver memory).
-- ``qmax = ceil(max BM25 term score in block * 256)`` — an upper bound
-  for block-max pruning (WAND-style), quantized so the whole blob stays
-  a single varint stream and decodes in one vectorized pass.
+- ``qmax = ceil(max BM25 term score in block * 256)`` — the block's
+  score bound under the build-time parameters, quantized so the whole
+  blob stays a single varint stream and decodes in one vectorized pass.
+  No query path reads it: pruning reads each run's ``max_score`` from
+  ``terms.parquet``.
 
-Encode/decode are numpy-vectorized (no per-value Python loops).
+Encode/decode are numpy-vectorized (no per-value Python loops).  A query
+reader passes a :class:`RunBuffer`, so that decoding and scoring its
+runs write into reused arrays instead of allocating per run.
 """
 
 from __future__ import annotations
@@ -30,6 +34,24 @@ import numpy as np
 
 BLOCK_SIZE = 128
 QMAX_SCALE = 256.0
+
+
+class RunBuffer:
+    """Reused output arrays for :func:`decode_run` and
+    :func:`bm25_term_scores`: one array per role, grown on demand (to a
+    power of two) to the largest run seen.  What a call with the buffer
+    returns is a view into it, valid until the next call with the same
+    buffer, so a buffer serves one caller at a time (not thread-safe)."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, role: str, n: int, dtype) -> np.ndarray:
+        """The first ``n`` slots of the ``role`` array."""
+        a = self._arrays.get(role)
+        if a is None or len(a) < n:
+            a = self._arrays[role] = np.empty(1 << max(n - 1, 0).bit_length(), dtype)
+        return a[:n]
 
 
 def varint_encode(values: np.ndarray) -> np.ndarray:
@@ -54,21 +76,31 @@ def varint_encode(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def varint_decode(buf: np.ndarray | bytes | memoryview) -> np.ndarray:
+def varint_decode(buf: np.ndarray | bytes | memoryview, out: np.ndarray | None = None) -> np.ndarray:
     """Decode a full LEB128 stream -> uint64 array (vectorized).
 
-    One ``b < 0x80`` mask and one boolean gather of the terminator bytes
-    give every one-byte value.  Only the few continuation bytes are then
-    folded in: the k-th continuation byte at position p belongs to value
-    ``p - k`` (the terminators before it).  Trailing continuation bytes
-    without a terminator are ignored.
+    Every byte after the last multi-byte value is a one-byte value, and
+    is copied as is; in a posting blob that is the whole body, as only
+    the block directory holds values of 128 and up.  Before it, one
+    ``b < 0x80`` mask and one boolean gather of the terminator bytes
+    give every one-byte value, and only the few continuation bytes are
+    then folded in: the k-th continuation byte at position p belongs to
+    value ``p - k`` (the terminators before it).  Trailing continuation
+    bytes without a terminator are ignored.  With ``out`` (a uint64
+    array of at least ``len(buf)`` slots) the values are written into
+    its front and a view of it is returned.
     """
     b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else np.asarray(buf)
-    is_end = b < 0x80
-    vals = b[is_end].astype(np.uint64)
-    if len(vals) == len(b):
+    cont = np.flatnonzero(b >= 0x80)
+    split = min(int(cont[-1]) + 2, len(b)) if len(cont) else 0
+    is_end = b[:split] < 0x80
+    n_head = split - len(cont)
+    n = n_head + len(b) - split
+    vals = np.empty(n, np.uint64) if out is None else out[:n]
+    vals[:n_head] = b[:split][is_end]
+    vals[n_head:] = b[split:]
+    if not len(cont):
         return vals
-    cont = np.flatnonzero(~is_end)
     owner = cont - np.arange(len(cont))
     if not is_end[-1]:
         cont, owner = cont[owner < len(vals)], owner[owner < len(vals)]
@@ -90,13 +122,26 @@ def varint_decode(buf: np.ndarray | bytes | memoryview) -> np.ndarray:
 
 
 def bm25_term_scores(
-    tfs: np.ndarray, dls: np.ndarray, idf: float, avgdl: float, k1: float, b: float
+    tfs: np.ndarray,
+    dls: np.ndarray,
+    idf: float,
+    avgdl: float,
+    k1: float,
+    b: float,
+    buf: RunBuffer | None = None,
 ) -> np.ndarray:
-    """Pinned BM25 per-posting score (float64; formula documented in query.py)."""
+    """Pinned BM25 per-posting score (float64; formula documented in
+    query.py).  With ``buf`` the scores are a view into it."""
     # in place, in the order of idf * (tf * (k1 + 1)) / (tf + k1 *
     # (1 - b + b * dl / avgdl)); float * and + commute bit for bit
-    tf = tfs.astype(np.float64)
-    den = dls.astype(np.float64)
+    if buf is None:
+        tf = tfs.astype(np.float64)
+        den = dls.astype(np.float64)
+    else:
+        tf = buf.array("tf", len(tfs), np.float64)
+        den = buf.array("den", len(dls), np.float64)
+        tf[:] = tfs
+        den[:] = dls
     den *= b
     den /= avgdl
     den += 1.0 - b
@@ -176,7 +221,7 @@ class CorruptSegmentError(ValueError):
     (a truncated or overwritten ``postings.bin``)."""
 
 
-def decode_run(blob: bytes | memoryview):
+def decode_run(blob: bytes | memoryview, buf: RunBuffer | None = None):
     """Decode a blob -> (docids, tfs, dls) int64 arrays.
 
     One vectorized varint pass over the whole blob, then semantic
@@ -184,9 +229,11 @@ def decode_run(blob: bytes | memoryview):
     ``BLOCK_SIZE`` postings, so the body is a ``(blocks, 3, BLOCK_SIZE)``
     array plus one short ``(3, rest)`` block; the header is checked
     against that shape first and a mismatch raises
-    :class:`CorruptSegmentError`.
+    :class:`CorruptSegmentError`.  With ``buf`` the three arrays are
+    views into it (see :class:`RunBuffer`).
     """
-    vals = varint_decode(blob).view(np.int64)
+    out = None if buf is None else buf.array("vals", len(blob), np.uint64)
+    vals = varint_decode(blob, out).view(np.int64)
     if len(vals) < 2:
         raise CorruptSegmentError(f"run header truncated ({len(vals)} values)")
     n, nblocks = int(vals[0]), int(vals[1])
@@ -201,17 +248,17 @@ def decode_run(blob: bytes | memoryview):
     if (counts[:-1] != BLOCK_SIZE).any() or counts[-1] != n - (nblocks - 1) * BLOCK_SIZE:
         raise CorruptSegmentError(f"run block counts disagree with n={n}")
     if nblocks == 1:
-        deltas, tfs, dls = vals[body_at:].reshape(3, n)
-        return np.cumsum(deltas), tfs, dls
-    nfull = n // BLOCK_SIZE
-    m = nfull * BLOCK_SIZE
-    full = vals[body_at : body_at + 3 * m].reshape(nfull, 3, BLOCK_SIZE)
-    cols = np.empty((3, n), np.int64)
-    for c in range(3):
-        cols[c, :m].reshape(nfull, BLOCK_SIZE)[:] = full[:, c]  # a view: the row is contiguous
-    cols[:, m:] = vals[body_at + 3 * m :].reshape(3, n - m)
+        cols = vals[body_at:].reshape(3, n)
+    else:
+        nfull = n // BLOCK_SIZE
+        m = nfull * BLOCK_SIZE
+        full = vals[body_at : body_at + 3 * m].reshape(nfull, 3, BLOCK_SIZE)
+        cols = (np.empty(3 * n, np.int64) if buf is None else buf.array("cols", 3 * n, np.int64)).reshape(3, n)
+        cols[:, :m].reshape(3, nfull, BLOCK_SIZE)[:] = full.transpose(1, 0, 2)
+        cols[:, m:] = vals[body_at + 3 * m :].reshape(3, n - m)
+    # the deltas are this call's own array (or the buffer's): sum in place
     deltas, tfs, dls = cols
-    return np.cumsum(deltas), tfs, dls
+    return np.cumsum(deltas, out=deltas), tfs, dls
 
 
 def decode_block_directory(blob: bytes | memoryview):

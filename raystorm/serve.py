@@ -256,7 +256,8 @@ class HttpFrontend:
 
     ``GET /search?q=<text>&k=<n>&mode=<mode>`` -> JSON row list
     (rank/conv_id/turn_idx/score); ``GET /info`` -> index stats.  A
-    bad ``k`` or an unknown ``mode`` is a 400; any other error a 500.
+    bad ``k``, an unknown ``mode`` or a malformed ``filter`` is a 400;
+    any other error a 500.
     Runs inside a (detachable) Ray actor so the endpoint outlives the
     starting driver exactly like the replica pool; binds an ephemeral
     port unless given one.
@@ -372,7 +373,7 @@ class HttpFrontend:
                         self._send(200, json.dumps(handle.info()))
                     else:
                         self._send(404, json.dumps({"error": "not found"}))
-                except InvalidRequest as e:  # the client's fault: bad k or mode
+                except InvalidRequest as e:  # the client's fault: bad k, mode or filter
                     self._send(400, json.dumps({"error": str(e)}))
                 except Exception as e:  # surface errors as JSON, keep serving
                     import traceback

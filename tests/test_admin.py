@@ -131,6 +131,14 @@ def test_http_front_matches_direct_actor(index_pair):
                 assert err.value.code == 400, (route, bad)
                 reason = _json.loads(err.value.read())["error"]
                 assert ("mode" if "mode" in bad else "k must be") in reason, reason
+        # a malformed filter is a bad request too, on the filter path
+        for flt, why in (("notjson", "not JSON"), ('[["role","~","x"]]', "unknown filter op")):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    f"http://{host}:{port}/search?q=hash&k=10&filter={quote(flt)}", timeout=30
+                )
+            assert err.value.code == 400, flt
+            assert why in _json.loads(err.value.read())["error"]
     finally:
         assert serve.stop(replicas=2, name="t-http") == 2
 

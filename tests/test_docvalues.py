@@ -268,6 +268,16 @@ def test_clause_roundtrip_and_sql_lockstep():
     assert "m.role IN ('user', 'tool')" in sql
 
 
+@pytest.mark.parametrize(
+    "text", ["notjson", '{"role": "user"}', '[["role", "="]]', '[["role", "~", "x"]]', '[["role", ["="], "x"]]']
+)
+def test_malformed_filter_is_invalid_request(text):
+    """A filter that is not a JSON list of [column, known op, value]
+    clauses is the client's fault (HTTP 400), an unhashable op too."""
+    with pytest.raises(query.InvalidRequest):
+        docvalues.decode_clauses(text)
+
+
 def test_percentiles_match_oracle(ray_session, dv_index, duck):
     """ES percentiles analog: rank-exact quantiles of the ts doc value
     over each query's hit set == the windowed SQL selection."""

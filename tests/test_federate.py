@@ -75,6 +75,16 @@ def test_single_member_degenerates_to_plain_topk(indexes):
         pd.testing.assert_frame_equal(idx.topk(text, k), fed.topk(text, k))
 
 
+@pytest.mark.parametrize("cls", [federate.FederatedIndex, federate.SelectiveFederatedIndex])
+@pytest.mark.parametrize("k", [0, -1, 1.5, True])
+def test_bad_k_is_invalid_request(indexes, cls, k):
+    """A federated search refuses a bad ``k`` with the same typed error
+    as every SegmentIndex mode, before any member is read."""
+    _full, lo, hi = indexes
+    with pytest.raises(query.InvalidRequest, match="k must be a positive integer"):
+        cls([lo, hi]).topk(query.REFERENCE_QUERIES[0][1], k)
+
+
 def test_mismatched_scoring_config_rejected(indexes, tmp_path, ray_session):
     _full, lo, _hi = indexes
     d = str(tmp_path / "oddb")

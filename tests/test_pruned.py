@@ -236,3 +236,83 @@ def test_overlapping_runs_same_topk_in_every_mode(sf_index, dup_run_index):
     twice = idx.topk("merge", 20, "bm25")
     assert twice["conv_id"].tolist() == once["conv_id"].tolist()
     np.testing.assert_allclose(twice["score"], 2 * once["score"], atol=2e-6)
+
+
+#: modes that need neither a docstore nor doc values
+NO_SIDECAR_MODES = (
+    "bm25", "bm25_pruned", "bm25_bmw", "bm25_and", "bm25_wild", "bm25_fuzzy",
+    "bm25_syn", "bm25_bool", "bm25_boost", "bm25f", "dis_max", "cross_fields",
+    "most_fields", "faithful", "lm_dirichlet", "tfidf_classic", "collapsed",
+)
+
+
+def _head_text(idx, n=3):
+    fd = idx._dict["text"]
+    return " ".join(fd.terms[int(r)].as_py() for r in np.argsort(-fd.df, kind="stable")[:n])
+
+
+def test_results_not_aliased_across_calls(synth_index, monkeypatch):
+    """A frame returned by one call is unchanged by later calls in every
+    mode: nothing a query returns is a view on the index's scratch."""
+    dense_runs = []
+    sum_runs = query._QueryScratch.sum_runs
+    monkeypatch.setattr(query._QueryScratch, "sum_runs", lambda self, runs: (dense_runs.append(1), sum_runs(self, runs))[1])
+    head = _head_text(synth_index)
+    texts = [head, head.split()[0], "the customer merge hash"]
+    kept = []
+    for mode in NO_SIDECAR_MODES:
+        for text in texts:
+            df = synth_index.topk(text, 10, mode)
+            kept.append((mode, text, df, df.copy(deep=True)))
+    for mode in NO_SIDECAR_MODES:  # a second round through the scratch
+        for text in texts[::-1]:
+            synth_index.topk(text, 50, mode)
+    assert dense_runs, "the head query did not take the dense accumulator"
+    for mode, text, df, snapshot in kept:
+        pd.testing.assert_frame_equal(df, snapshot, obj=f"{mode} {text!r}")
+    scratch = synth_index._scratch
+    assert not scratch.seen.any() and not scratch.score.any()
+
+
+def test_interleaved_modes_match_fresh_index(synth_index, monkeypatch):
+    """bm25, MaxScore and the bm25_bmw name interleaved on one index
+    (one scratch) answer exactly what a fresh index answers per mode;
+    MaxScore's dense update phase runs on the head pairs."""
+    dense_updates = []
+    update = query._QueryScratch.update
+    monkeypatch.setattr(
+        query._QueryScratch, "update", lambda self, *a: (dense_updates.append(1), update(self, *a))[1]
+    )
+    head = _head_text(synth_index, 4).split()
+    texts = [" ".join(head[:2]), " ".join(head), head[0], f"{head[1]} {head[3]} xylophone"]
+    fresh = {}
+    for mode in ("bm25", "bm25_pruned", "bm25_bmw"):
+        ix = query.SegmentIndex(synth_index.index_dir)
+        fresh[mode] = [ix.topk(t, k, mode) for t in texts for k in (5, 20)]
+    got = {m: [] for m in fresh}
+    for t in texts:
+        for k in (5, 20):
+            for mode in ("bm25_bmw", "bm25", "bm25_pruned"):
+                got[mode].append(synth_index.topk(t, k, mode))
+    for mode, frames in fresh.items():
+        for want, have in zip(frames, got[mode]):
+            pd.testing.assert_frame_equal(have, want, obj=mode)
+    assert dense_updates, "MaxScore's dense update phase did not run"
+
+
+def test_every_surface_starts_a_fresh_trace(sf_index):
+    """``topk_after`` / ``topk_filtered`` count only their own work: after
+    a ``topk`` on the same query, the trace equals a fresh index's."""
+    text = "hash join"
+    first = sf_index.topk(text, 3, "bm25")
+    after = (first["conv_id"].iloc[-1], int(first["turn_idx"].iloc[-1]))
+    fresh = query.SegmentIndex(sf_index.index_dir)
+    for call in (
+        lambda ix: ix.topk_after(text, 3, after),
+        lambda ix: ix.topk_filtered(text, 3, ()),
+    ):
+        sf_index.topk(text, 3, "bm25")
+        call(sf_index)
+        call(fresh)
+        assert sf_index.last_trace.runs_decoded == fresh.last_trace.runs_decoded > 0
+        assert sf_index.last_trace == fresh.last_trace
